@@ -7,6 +7,7 @@
 #include <cstdio>
 
 #include <memory>
+#include <string>
 
 #include "net/energy.h"
 #include "runner/runner.h"
@@ -49,10 +50,17 @@ int main() {
     std::unique_ptr<net::AggregationProtocol> protocol;
     switch (scheme) {
       case runner::Scheme::kSies: {
+        // The K = 1 engine serving SUM(temperature), as RunExperiment
+        // runs SIES.
         auto params = core::MakeParams(kN, config.seed).value();
-        protocol = std::make_unique<runner::SiesProtocol>(
-            params, core::GenerateKeys(params, master_seed), topology,
-            values);
+        protocol = runner::MakeSingleQueryScheduler(
+                       params, core::GenerateKeys(params, master_seed),
+                       topology,
+                       [trace](uint32_t i, uint64_t e) {
+                         return trace->ReadingAt(i, e);
+                       },
+                       core::Query{})
+                       .value();
         break;
       }
       case runner::Scheme::kCmt: {
@@ -75,6 +83,9 @@ int main() {
         break;
       }
     }
+    // The engine names itself SIES_ENGINE; report the scheme.
+    const std::string name =
+        scheme == runner::Scheme::kSies ? "SIES" : protocol->Name();
     auto report = network.RunEpoch(*protocol, 1);
     if (!report.ok()) {
       std::fprintf(stderr, "epoch failed: %s\n",
@@ -85,8 +96,8 @@ int main() {
     auto joules = net::EpochEnergyJoules(report.value(), radio);
     net::EnergySummary summary = net::Summarize(joules);
     double lifetime = net::LifetimeEpochs(summary, kBatteryJoules);
-    std::printf("%-10s %15.3e J %15.3e J %17.3e\n",
-                protocol->Name().c_str(), summary.total_joules,
+    std::printf("%-10s %15.3e J %15.3e J %17.3e\n", name.c_str(),
+                summary.total_joules,
                 summary.max_node_joules, lifetime);
   }
   std::printf(

@@ -14,6 +14,14 @@ namespace {
 
 // Movement detection: source i "detects" movement when its light channel
 // dips below a threshold; the COUNT query sums 0/1 indicators.
+core::Query MovementQuery() {
+  core::Query query;
+  query.aggregate = core::Aggregate::kCount;
+  query.where =
+      core::Predicate{core::Field::kLight, core::CompareOp::kLess, 400.0};
+  return query;
+}
+
 struct Scenario {
   static constexpr uint32_t kN = 32;
 
@@ -28,9 +36,13 @@ struct Scenario {
           c.seed = 17;
           return workload::TraceGenerator(c);
         }()),
-        protocol(params, keys, topology, [this](uint32_t i, uint64_t e) {
-          return trace.ReadingAt(i, e).light < 400.0 ? 1ull : 0ull;
-        }) {}
+        protocol(runner::MakeSingleQueryScheduler(
+                     params, keys, topology,
+                     [this](uint32_t i, uint64_t e) {
+                       return trace.ReadingAt(i, e);
+                     },
+                     MovementQuery())
+                     .value()) {}
 
   uint64_t TrueCount(uint64_t epoch) {
     uint64_t count = 0;
@@ -45,7 +57,7 @@ struct Scenario {
   core::Params params;
   core::QuerierKeys keys;
   workload::TraceGenerator trace;
-  runner::SiesProtocol protocol;
+  std::unique_ptr<engine::EpochScheduler> protocol;
 };
 
 }  // namespace
@@ -58,7 +70,7 @@ int main() {
 
   // Epoch 1-2: quiet network.
   for (uint64_t epoch = 1; epoch <= 2; ++epoch) {
-    auto report = scenario.network.RunEpoch(scenario.protocol, epoch).value();
+    auto report = scenario.network.RunEpoch(*scenario.protocol, epoch).value();
     bool exact = report.outcome.value ==
                  static_cast<double>(scenario.TrueCount(epoch));
     std::printf("epoch %llu (quiet)     : count=%2.0f verified=%-3s exact=%s\n",
@@ -72,7 +84,7 @@ int main() {
   {
     net::BitFlipAdversary adversary(scenario.topology.root(), 42);
     scenario.network.SetAdversary(&adversary);
-    auto report = scenario.network.RunEpoch(scenario.protocol, 3);
+    auto report = scenario.network.RunEpoch(*scenario.protocol, 3);
     bool detected = !report.ok() || !report.value().outcome.verified;
     std::printf("epoch 3 (bit-flip)  : attack detected=%s\n",
                 detected ? "yes" : "NO -- SECURITY FAILURE");
@@ -84,8 +96,8 @@ int main() {
   {
     net::ReplayAdversary adversary(4);
     scenario.network.SetAdversary(&adversary);
-    auto ok_report = scenario.network.RunEpoch(scenario.protocol, 4).value();
-    auto replayed = scenario.network.RunEpoch(scenario.protocol, 5).value();
+    auto ok_report = scenario.network.RunEpoch(*scenario.protocol, 4).value();
+    auto replayed = scenario.network.RunEpoch(*scenario.protocol, 5).value();
     std::printf("epoch 4 (captured)  : verified=%s\n",
                 ok_report.outcome.verified ? "yes" : "NO");
     std::printf("epoch 5 (replayed)  : attack detected=%s (%llu payloads "
@@ -105,7 +117,7 @@ int main() {
         scenario.topology.root())[0];
     net::DropAdversary adversary(victim);
     scenario.network.SetAdversary(&adversary);
-    auto report = scenario.network.RunEpoch(scenario.protocol, 6).value();
+    auto report = scenario.network.RunEpoch(*scenario.protocol, 6).value();
     bool exposed = report.outcome.verified && report.coverage < 1.0;
     std::printf("epoch 6 (drop)      : suppression exposed=%s "
                 "(%u of %u posts reported)\n",
@@ -120,7 +132,7 @@ int main() {
   {
     scenario.network.FailSource(scenario.topology.sources()[3]);
     scenario.network.FailSource(scenario.topology.sources()[19]);
-    auto report = scenario.network.RunEpoch(scenario.protocol, 7).value();
+    auto report = scenario.network.RunEpoch(*scenario.protocol, 7).value();
     std::printf("epoch 7 (2 failures): verified=%s (reported failures are "
                 "not attacks)\n",
                 report.outcome.verified ? "yes" : "NO");

@@ -29,11 +29,18 @@ int main() {
   tc.num_sources = kN;
   tc.seed = kSeed;
   workload::TraceGenerator trace(tc);
-  // A constant reading for sensor 0 makes the unlinkability visible.
-  runner::SiesProtocol protocol(
-      params, keys, topology, [&trace](uint32_t i, uint64_t e) {
-        return i == 0 ? 2500ull : trace.ValueAt(i, e);
-      });
+  // SUM(temperature) at 10^2 scaling, served by the K = 1 engine. A
+  // constant reading for sensor 0 makes the unlinkability visible.
+  core::Query query;
+  auto protocol = runner::MakeSingleQueryScheduler(
+                      params, keys, topology,
+                      [&trace](uint32_t i, uint64_t e) {
+                        core::SensorReading reading = trace.ReadingAt(i, e);
+                        if (i == 0) reading.temperature = 25.0;
+                        return reading;
+                      },
+                      query)
+                      .value();
 
   std::printf("scenario: %u sensors, aggregation outsourced to an\n"
               "untrusted provider; customer holds the keys.\n\n",
@@ -44,9 +51,12 @@ int main() {
   Bytes previous;
   net::CallbackAdversary observer([&](net::Message& msg) {
     if (msg.from == provider_network.topology().sources()[0]) {
+      // Skip the contributor bitmap: the PSR is what carries the reading.
+      Bytes psr(msg.payload.begin() + core::WireBitmapBytes(params),
+                msg.payload.end());
       std::printf("   epoch %llu PSR: %s...\n",
                   static_cast<unsigned long long>(msg.epoch),
-                  ToHex(msg.payload).substr(0, 32).c_str());
+                  ToHex(psr).substr(0, 32).c_str());
       if (!previous.empty() && previous == msg.payload) {
         std::printf("   !! ciphertext repeated -- confidentiality bug\n");
       }
@@ -56,7 +66,7 @@ int main() {
   });
   provider_network.SetAdversary(&observer);
   for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
-    auto report = provider_network.RunEpoch(protocol, epoch).value();
+    auto report = provider_network.RunEpoch(*protocol, epoch).value();
     if (!report.outcome.verified) return 1;
   }
   std::printf("   same plaintext, unlinkable ciphertexts: the provider\n"
@@ -82,7 +92,7 @@ int main() {
     return true;
   });
   provider_network.SetAdversary(&greedy);
-  auto attacked = provider_network.RunEpoch(protocol, 4).value();
+  auto attacked = provider_network.RunEpoch(*protocol, 4).value();
   std::printf("   querier verdict: %s\n",
               attacked.outcome.verified
                   ? "ACCEPTED -- integrity failure!"
@@ -91,8 +101,8 @@ int main() {
 
   // --- 3. Honest service resumes; customer-side cost is tiny. ---
   provider_network.SetAdversary(nullptr);
-  auto honest = provider_network.RunEpoch(protocol, 5).value();
-  std::printf("\n3) honest epoch 5: SUM=%.0f verified=%s\n",
+  auto honest = provider_network.RunEpoch(*protocol, 5).value();
+  std::printf("\n3) honest epoch 5: SUM=%.2f C verified=%s\n",
               honest.outcome.value,
               honest.outcome.verified ? "yes" : "NO");
   std::printf("   customer (querier) CPU: %.3f ms;"

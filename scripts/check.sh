@@ -760,6 +760,15 @@ predicate_smoke "$BUILD"
 
 bench_smoke "$BUILD"
 
+# The whole-epoch benchmark is its own CMake project compiling src/
+# (.bench_build/epochbench): build it and run its differential
+# self-check and determinism ctests. Skipped in the sanitized pass,
+# which builds nothing outside build-sanitize/.
+if [[ $SANITIZE -eq 0 ]]; then
+  echo "== epochbench self-test =="
+  python3 epochbench/run.py --selftest
+fi
+
 # Parser-coverage gate: the committed corpora must keep exercising the
 # untrusted-input TUs (floors in fuzz/coverage_floors.tsv). Skipped in
 # the sanitized pass — the gate owns its own instrumented tree.

@@ -82,9 +82,9 @@ struct ChannelSpec {
   }
 
   /// The per-source value this channel carries for `reading`, computed
-  /// through the same core::ChannelValue path a single-query session
-  /// uses — which is what makes engine results bit-identical to
-  /// independent sessions. Bucket membership is evaluated first, like
+  /// through the same core::ChannelValue path the plaintext oracles
+  /// use — which is what makes engine results bit-identical to them.
+  /// Bucket membership is evaluated first, like
   /// ChannelValue evaluates a band first: outside the bucket the
   /// channel transmits 0.
   StatusOr<uint64_t> ValueFor(const core::SensorReading& reading) const {

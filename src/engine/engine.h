@@ -1,9 +1,9 @@
 // MultiQueryEngine: K continuous queries over ONE epoch pipeline.
 //
-// A single-query Session costs one network round per query per epoch; K
-// queries cost K rounds and K disjoint key derivations. The engine
-// multiplexes instead: the QueryRegistry's ChannelPlan deduplicates the
-// queries' channels into a minimal set of physical wire slots, every
+// Serving K queries one by one would cost K network rounds per epoch and
+// K disjoint key derivations. The engine multiplexes instead: the
+// QueryRegistry's ChannelPlan deduplicates the queries' channels into a
+// minimal set of physical wire slots, every
 // source emits ONE envelope per epoch carrying all live channels'
 // PSRs behind one contributor bitmap, aggregators merge channel-wise,
 // and the querier evaluates each physical channel exactly once —

@@ -1,71 +1,6 @@
 #include "runner/deployment.h"
 
-#include <map>
-
 namespace sies::runner {
-
-// Session-backed simulator binding for the active query.
-class ContinuousDeployment::Protocol : public net::AggregationProtocol {
- public:
-  Protocol(core::Query query, const core::Params& params,
-           const core::QuerierKeys& keys, const net::Topology& topology,
-           workload::TraceGenerator* trace)
-      : aggregator_(query, params),
-        querier_(query, params, keys),
-        trace_(trace) {
-    for (net::NodeId node : topology.sources()) {
-      uint32_t index = static_cast<uint32_t>(sources_.size());
-      source_index_[node] = index;
-      source_nodes_.push_back(node);
-      sources_.emplace_back(query, params, index,
-                            core::KeysForSource(keys, index).value());
-    }
-  }
-
-  std::string Name() const override { return "SIES/deployment"; }
-
-  StatusOr<Bytes> SourceInitialize(net::NodeId id, uint64_t epoch) override {
-    uint32_t index = source_index_.at(id);
-    return sources_[index].CreatePayload(trace_->ReadingAt(index, epoch),
-                                         epoch);
-  }
-
-  StatusOr<Bytes> AggregatorMerge(
-      net::NodeId, uint64_t, const std::vector<Bytes>& children) override {
-    return aggregator_.Merge(children);
-  }
-
-  StatusOr<net::EvalOutcome> QuerierEvaluate(
-      uint64_t epoch, const Bytes& final_payload,
-      const std::vector<net::NodeId>& /*participating*/) override {
-    // The participating set comes from the wire envelope's contributor
-    // bitmap (in-band loss reporting), not from simulator-side
-    // knowledge of which sources are live.
-    auto outcome = querier_.Evaluate(final_payload, epoch);
-    if (!outcome.ok()) return outcome.status();
-    last_result_ = outcome.value().result;
-    net::EvalOutcome out;
-    out.value = outcome.value().result.value;
-    out.verified = outcome.value().verified;
-    out.has_contributors = true;
-    out.contributors.reserve(outcome.value().contributors.size());
-    for (uint32_t index : outcome.value().contributors) {
-      out.contributors.push_back(source_nodes_[index]);
-    }
-    return out;
-  }
-
-  const core::QueryResult& last_result() const { return last_result_; }
-
- private:
-  core::AggregatorSession aggregator_;
-  core::QuerierSession querier_;
-  workload::TraceGenerator* trace_;
-  std::map<net::NodeId, uint32_t> source_index_;
-  std::vector<net::NodeId> source_nodes_;
-  std::vector<core::SourceSession> sources_;
-  core::QueryResult last_result_;
-};
 
 StatusOr<ContinuousDeployment> ContinuousDeployment::Create(
     net::Topology topology, uint64_t seed,
@@ -74,13 +9,19 @@ StatusOr<ContinuousDeployment> ContinuousDeployment::Create(
   auto params = core::MakeParams(topology.num_sources(), seed,
                                  /*value_bytes=*/8);
   if (!params.ok()) return params.status();
-  deployment.params_ = std::move(params).value();
-  deployment.keys_ =
-      core::GenerateKeys(deployment.params_, EncodeUint64(seed));
+  core::QuerierKeys keys =
+      core::GenerateKeys(params.value(), EncodeUint64(seed));
   deployment.network_ = std::make_unique<net::Network>(std::move(topology));
-  trace_config.num_sources = deployment.params_.num_sources;
+  trace_config.num_sources = params.value().num_sources;
   deployment.trace_ =
       std::make_unique<workload::TraceGenerator>(trace_config);
+  deployment.scheduler_ = std::make_unique<engine::EpochScheduler>(
+      std::make_shared<engine::MultiQueryEngine>(params.value(),
+                                                 std::move(keys)),
+      deployment.network_->topology(),
+      [trace = deployment.trace_.get()](uint32_t index, uint64_t epoch) {
+        return trace->ReadingAt(index, epoch);
+      });
   auto broadcaster = mutesla::Broadcaster::Create(
       EncodeUint64(seed ^ 0xb40adca57ull), chain_length,
       /*disclosure_delay=*/1);
@@ -91,12 +32,13 @@ StatusOr<ContinuousDeployment> ContinuousDeployment::Create(
 }
 
 Status ContinuousDeployment::RegisterQuery(const core::Query& query) {
-  // One μTesla interval per registration.
-  ++broadcast_interval_;
+  // One μTesla interval per registration, spent only once the broadcast
+  // goes out (past the chain's end it does not).
   std::string sql = query.ToSql();
   Bytes payload(sql.begin(), sql.end());
-  auto packet = broadcaster_->Broadcast(broadcast_interval_, payload);
+  auto packet = broadcaster_->Broadcast(broadcast_interval_ + 1, payload);
   if (!packet.ok()) return packet.status();
+  ++broadcast_interval_;
   auto disclosure = broadcaster_->Disclose(broadcast_interval_);
   if (!disclosure.ok()) return disclosure.status();
 
@@ -124,10 +66,8 @@ Status ContinuousDeployment::RegisterQuery(const core::Query& query) {
     }
   }
 
-  // Keys unchanged; only the sessions are rebuilt for the new query.
-  active_query_ = query;
-  protocol_ = std::make_unique<Protocol>(query, params_, keys_,
-                                         network_->topology(), trace_.get());
+  // Keys unchanged; the engine switches queries at the next epoch.
+  pending_query_ = query;
   return Status::OK();
 }
 
@@ -140,10 +80,22 @@ Status ContinuousDeployment::SetRadioLoss(double loss_rate,
 }
 
 StatusOr<DeploymentEpoch> ContinuousDeployment::RunEpoch(uint64_t epoch) {
+  if (pending_query_.has_value()) {
+    // Teardown before admission, so re-registering the live query's id
+    // is a switch, not a duplicate.
+    if (active_query_.has_value()) {
+      SIES_RETURN_IF_ERROR(
+          scheduler_->Teardown(active_query_->query_id, epoch));
+      active_query_.reset();
+    }
+    SIES_RETURN_IF_ERROR(scheduler_->Admit(*pending_query_, epoch));
+    active_query_ = std::move(pending_query_);
+    pending_query_.reset();
+  }
   if (!active_query_.has_value()) {
     return Status::FailedPrecondition("no query registered");
   }
-  auto report = network_->RunEpoch(*protocol_, epoch);
+  auto report = network_->RunEpoch(*scheduler_, epoch);
   if (!report.ok()) return report.status();
   const net::EpochReport& r = report.value();
   DeploymentEpoch out;
@@ -157,7 +109,8 @@ StatusOr<DeploymentEpoch> ContinuousDeployment::RunEpoch(uint64_t epoch) {
   out.verified = r.outcome.verified;
   out.contributors = r.contributing_sources;
   out.coverage = r.coverage;
-  out.result = static_cast<Protocol*>(protocol_.get())->last_result();
+  // K = 1: the scheduler's only outcome is the active query's.
+  out.result = scheduler_->last_outcomes().front().outcome.result;
   SIES_RETURN_IF_ERROR(
       log_.Record(epoch, out.result.value, out.verified, out.coverage));
   return out;

@@ -7,17 +7,20 @@
 // the network, WITHOUT re-establishing any keys". This driver implements
 // exactly that: long-term keys are fixed at construction; queries come
 // and go via authenticated broadcast; every epoch runs the active query
-// through the simulator and feeds the querier-side ResultLog.
+// through the simulator and feeds the querier-side ResultLog. The query
+// is served by the multi-query engine as its K = 1 case: one
+// EpochScheduler lives for the whole deployment, and a query switch is
+// a teardown of the old query and an admission of the new one.
 #ifndef SIES_RUNNER_DEPLOYMENT_H_
 #define SIES_RUNNER_DEPLOYMENT_H_
 
 #include <memory>
 #include <optional>
 
+#include "engine/epoch_scheduler.h"
 #include "mutesla/mutesla.h"
 #include "net/network.h"
 #include "sies/result_log.h"
-#include "sies/session.h"
 #include "workload/workload.h"
 
 namespace sies::runner {
@@ -48,18 +51,21 @@ class ContinuousDeployment {
       workload::TraceConfig trace_config, uint64_t chain_length = 256);
 
   /// Registers (or replaces) the continuous query: broadcasts its SQL
-  /// via μTesla, every source authenticates it, and on success the
-  /// sessions for the new query are built — with the SAME long-term
-  /// keys. Returns an error if any source rejects the broadcast.
+  /// via μTesla and every source authenticates it. On success the query
+  /// replaces the active one at the next RunEpoch — under the SAME
+  /// long-term keys. Returns an error if the μTesla chain is exhausted
+  /// or any source rejects the broadcast; the active query then stays.
   Status RegisterQuery(const core::Query& query);
 
   /// Configures the lossy radio and its link-layer retransmission
   /// budget (see Network::SetLossRate / SetMaxRetries).
   Status SetRadioLoss(double loss_rate, uint32_t max_retries, uint64_t seed);
 
-  /// Runs one epoch of the active query. Fails if no query is active.
-  /// An epoch whose final payload is lost outright is NOT an error: it
-  /// returns `answered == false` and is logged as unanswered.
+  /// Runs one epoch of the active query, first switching to a newly
+  /// registered one (teardown, then admission, as of `epoch`). Fails if
+  /// no query was ever registered. An epoch whose final payload is lost
+  /// outright is NOT an error: it returns `answered == false` and is
+  /// logged as unanswered.
   StatusOr<DeploymentEpoch> RunEpoch(uint64_t epoch);
 
   /// The querier-side log across all queries and epochs.
@@ -68,22 +74,22 @@ class ContinuousDeployment {
   /// The network (for failure/adversary injection in tests).
   net::Network& network() { return *network_; }
 
-  /// Number of query broadcasts so far.
+  /// Number of query broadcasts so far (failed registrations that
+  /// never went out are not counted).
   uint64_t queries_registered() const { return broadcast_interval_; }
 
  private:
   ContinuousDeployment() = default;
 
-  // Session-backed protocol binding (per active query).
-  class Protocol;
-
-  core::Params params_;
-  core::QuerierKeys keys_;
   std::unique_ptr<net::Network> network_;
   std::unique_ptr<workload::TraceGenerator> trace_;
   std::unique_ptr<mutesla::Broadcaster> broadcaster_;
+  /// The engine serving the active query, bound to network_.
+  std::unique_ptr<engine::EpochScheduler> scheduler_;
+  /// The query the engine serves, and an authenticated one waiting to
+  /// replace it at the next RunEpoch.
   std::optional<core::Query> active_query_;
-  std::unique_ptr<net::AggregationProtocol> protocol_;
+  std::optional<core::Query> pending_query_;
   core::ResultLog log_;
   uint64_t broadcast_interval_ = 0;
 };

@@ -5,7 +5,6 @@
 #include <unordered_map>
 
 #include "common/timer.h"
-#include "net/adversary.h"
 #include "net/udp_transport.h"
 #include "ops/admin_server.h"
 #include "telemetry/epoch_timeline.h"
@@ -101,35 +100,10 @@ StatusOr<EngineExperimentResult> RunEngineExperiment(
     if (config.on_ops_ready) config.on_ops_ready(admin->port());
   }
 
-  if (config.loss_rate > 0.0) {
-    SIES_RETURN_IF_ERROR(network.SetLossRate(config.loss_rate, config.seed));
-    network.SetMaxRetries(config.max_retries);
-  }
-
-  std::unique_ptr<net::BitFlipAdversary> bitflip;
-  std::unique_ptr<net::ReplayAdversary> replay;
-  std::unique_ptr<net::DropAdversary> drop;
-  switch (config.adversary) {
-    case AdversaryKind::kNone:
-      break;
-    case AdversaryKind::kTamper:
-      // Trailing payload bit: always inside the LAST physical channel's
-      // ciphertext, so exactly the queries reading that channel fail —
-      // the per-query fault isolation the engine tests rely on.
-      bitflip = std::make_unique<net::BitFlipAdversary>(
-          std::nullopt, /*bit_index=*/0, /*from_end=*/true);
-      network.SetAdversary(bitflip.get());
-      break;
-    case AdversaryKind::kReplay:
-      replay = std::make_unique<net::ReplayAdversary>(1);
-      network.SetAdversary(replay.get());
-      break;
-    case AdversaryKind::kDrop:
-      drop = std::make_unique<net::DropAdversary>(
-          network.topology().sources().front());
-      network.SetAdversary(drop.get());
-      break;
-  }
+  // Owns the adversary the network points at; lives to the end of the run.
+  auto faults = InstallFaults(network, config.adversary, config.loss_rate,
+                              config.max_retries, config.seed);
+  if (!faults.ok()) return faults.status();
 
   EngineExperimentResult result;
   result.epochs = config.epochs;
@@ -188,7 +162,7 @@ StatusOr<EngineExperimentResult> RunEngineExperiment(
     for (const engine::ActiveQuery& aq : eng->registry().active()) {
       // A live query's compiled channel count (== ChannelCount for
       // plain queries, buckets × kinds for band queries) is what a
-      // dedicated session per query-per-bucket would put on the wire.
+      // dedicated round per query-per-bucket would put on the wire.
       auto slots = eng->registry().plan().ChannelsOf(aq.query);
       const uint64_t compiled =
           slots.ok() ? slots.value().size()

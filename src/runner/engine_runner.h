@@ -107,7 +107,7 @@ struct EngineExperimentResult {
   uint64_t channel_epochs = 0;
   /// Σ over run epochs of each live query's COMPILED channel count —
   /// what independent per-query (and, for band queries, per-bucket)
-  /// sessions would have to transmit. Equals Σ ChannelCount(q) when no
+  /// rounds would have to transmit. Equals Σ ChannelCount(q) when no
   /// query carries a band. channel_epochs < naive ⇔ dedup won.
   uint64_t naive_channel_epochs = 0;
   /// Mean per-epoch CPU over answered epochs, per party.

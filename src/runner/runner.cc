@@ -32,58 +32,18 @@ StatusOr<std::vector<uint32_t>> SourceIndexMap::ToIndices(
 }
 
 // ---------------------------------------------------------------------------
-// SIES
+// SIES: the K = 1 engine deployment
 // ---------------------------------------------------------------------------
 
-SiesProtocol::SiesProtocol(core::Params params, core::QuerierKeys keys,
-                           const net::Topology& topology, ValueFn values)
-    : params_(params),
-      index_map_(topology),
-      aggregator_(params),
-      querier_(params, keys),
-      values_(std::move(values)) {
-  // All simulated sources share one epoch-key cache: K_t is derived once
-  // per epoch for the whole network instead of once per source.
-  auto source_cache = std::make_shared<core::EpochKeyCache>();
-  sources_.reserve(index_map_.num_sources());
-  for (uint32_t i = 0; i < index_map_.num_sources(); ++i) {
-    sources_.emplace_back(params_, i,
-                          core::KeysForSource(keys, i).value());
-    sources_.back().SetEpochKeyCache(source_cache);
-  }
-}
-
-StatusOr<Bytes> SiesProtocol::SourceInitialize(net::NodeId id,
-                                               uint64_t epoch) {
-  auto index = index_map_.IndexOf(id);
-  if (!index.ok()) return index.status();
-  uint64_t value = values_(index.value(), epoch);
-  return sources_[index.value()].CreateWirePsr(value, epoch);
-}
-
-StatusOr<Bytes> SiesProtocol::AggregatorMerge(
-    net::NodeId, uint64_t, const std::vector<Bytes>& children) {
-  return aggregator_.MergeWire(children);
-}
-
-StatusOr<net::EvalOutcome> SiesProtocol::QuerierEvaluate(
-    uint64_t epoch, const Bytes& final_payload,
-    const std::vector<net::NodeId>& /*participating*/) {
-  // The participating set comes from the wire envelope's contributor
-  // bitmap, not from the simulator's out-of-band knowledge — losses are
-  // reported in-band and the sum verifies over exactly the contributors.
-  auto eval = querier_.EvaluateWire(final_payload, epoch);
-  if (!eval.ok()) return eval.status();
-  net::EvalOutcome outcome;
-  outcome.value = static_cast<double>(eval.value().sum);
-  outcome.verified = eval.value().verified;
-  outcome.exact = true;
-  outcome.has_contributors = true;
-  outcome.contributors.reserve(eval.value().contributors.size());
-  for (uint32_t index : eval.value().contributors) {
-    outcome.contributors.push_back(index_map_.NodeOf(index));
-  }
-  return outcome;
+StatusOr<std::unique_ptr<engine::EpochScheduler>> MakeSingleQueryScheduler(
+    const core::Params& params, const core::QuerierKeys& keys,
+    const net::Topology& topology, engine::ReadingFn readings,
+    const core::Query& query) {
+  auto scheduler = std::make_unique<engine::EpochScheduler>(
+      std::make_shared<engine::MultiQueryEngine>(params, keys), topology,
+      std::move(readings));
+  SIES_RETURN_IF_ERROR(scheduler->Admit(query, /*epoch=*/1));
+  return scheduler;
 }
 
 // ---------------------------------------------------------------------------
@@ -258,6 +218,50 @@ StatusOr<net::EvalOutcome> SecoaMaxProtocol::QuerierEvaluate(
 // Experiment driver
 // ---------------------------------------------------------------------------
 
+StatusOr<std::function<uint64_t()>> InstallFaults(net::Network& network,
+                                                 AdversaryKind adversary,
+                                                 double loss_rate,
+                                                 uint32_t max_retries,
+                                                 uint64_t seed) {
+  if (loss_rate > 0.0) {
+    SIES_RETURN_IF_ERROR(network.SetLossRate(loss_rate, seed));
+    network.SetMaxRetries(max_retries);
+  }
+  switch (adversary) {
+    case AdversaryKind::kNone:
+      return std::function<uint64_t()>([] { return uint64_t{0}; });
+    case AdversaryKind::kTamper: {
+      // Flip the trailing payload bit: always inside the ciphertext of
+      // the LAST wire channel (SIES wire payloads lead with the
+      // contributor bitmap, and flipping the same bitmap bit on every
+      // edge of an even-depth tree cancels out through the OR-merges),
+      // and low-order, so the tampered PSR stays a residue and is
+      // rejected by verification rather than aborting as malformed.
+      // Exactly the queries reading that channel fail.
+      auto bitflip = std::make_shared<net::BitFlipAdversary>(
+          std::nullopt, /*bit_index=*/0, /*from_end=*/true);
+      network.SetAdversary(bitflip.get());
+      return std::function<uint64_t()>(
+          [bitflip] { return bitflip->tampered_count(); });
+    }
+    case AdversaryKind::kReplay: {
+      // Epochs run 1..E: capture the first, replay the rest.
+      auto replay = std::make_shared<net::ReplayAdversary>(1);
+      network.SetAdversary(replay.get());
+      return std::function<uint64_t()>(
+          [replay] { return replay->replayed_count(); });
+    }
+    case AdversaryKind::kDrop: {
+      auto drop = std::make_shared<net::DropAdversary>(
+          network.topology().sources().front());
+      network.SetAdversary(drop.get());
+      return std::function<uint64_t()>(
+          [drop] { return drop->dropped_count(); });
+    }
+  }
+  return Status::InvalidArgument("unknown adversary kind");
+}
+
 StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   auto topology =
       net::Topology::BuildCompleteTree(config.num_sources, config.fanout);
@@ -272,6 +276,10 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   ValueFn values = [trace](uint32_t index, uint64_t epoch) {
     return trace->ValueAt(index, epoch);
   };
+  // The paper's query, SUM(temperature) at the trace's scaling: its
+  // channel values are exactly TraceGenerator::ValueAt.
+  core::Query sum_query;
+  sum_query.scale_pow10 = config.scale_pow10;
 
   Bytes master_seed = EncodeUint64(config.seed);
   std::unique_ptr<net::AggregationProtocol> protocol;
@@ -279,9 +287,15 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     case Scheme::kSies: {
       auto params = core::MakeParams(config.num_sources, config.seed);
       if (!params.ok()) return params.status();
-      core::QuerierKeys keys = core::GenerateKeys(params.value(), master_seed);
-      protocol = std::make_unique<SiesProtocol>(
-          params.value(), std::move(keys), network.topology(), values);
+      auto scheduler = MakeSingleQueryScheduler(
+          params.value(), core::GenerateKeys(params.value(), master_seed),
+          network.topology(),
+          [trace](uint32_t index, uint64_t epoch) {
+            return trace->ReadingAt(index, epoch);
+          },
+          sum_query);
+      if (!scheduler.ok()) return scheduler.status();
+      protocol = std::move(scheduler).value();
       break;
     }
     case Scheme::kCmt: {
@@ -314,46 +328,15 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   network.SetThreadPool(&pool);
   protocol->SetThreadPool(&pool);
 
-  if (config.loss_rate > 0.0) {
-    Status loss = network.SetLossRate(config.loss_rate, config.seed);
-    if (!loss.ok()) return loss;
-    network.SetMaxRetries(config.max_retries);
-  }
-
-  // Built-in attack, if requested. The concrete adversary also keeps its
-  // own event count, surfaced as `adversary_events` so callers can check
-  // it against the audit trail.
-  std::unique_ptr<net::BitFlipAdversary> bitflip;
-  std::unique_ptr<net::ReplayAdversary> replay;
-  std::unique_ptr<net::DropAdversary> drop;
-  switch (config.adversary) {
-    case AdversaryKind::kNone:
-      break;
-    case AdversaryKind::kTamper:
-      // Flip the trailing payload bit: always inside the ciphertext
-      // (SIES wire payloads lead with the contributor bitmap, and
-      // flipping the same bitmap bit on every edge of an even-depth
-      // tree cancels out through the OR-merges), and low-order, so the
-      // tampered PSR stays a residue and is rejected by verification
-      // rather than aborting as malformed.
-      bitflip = std::make_unique<net::BitFlipAdversary>(
-          std::nullopt, /*bit_index=*/0, /*from_end=*/true);
-      network.SetAdversary(bitflip.get());
-      break;
-    case AdversaryKind::kReplay:
-      // Epochs run 1..E: capture the first, replay the rest.
-      replay = std::make_unique<net::ReplayAdversary>(1);
-      network.SetAdversary(replay.get());
-      break;
-    case AdversaryKind::kDrop:
-      drop = std::make_unique<net::DropAdversary>(
-          network.topology().sources().front());
-      network.SetAdversary(drop.get());
-      break;
-  }
+  auto adversary_events =
+      InstallFaults(network, config.adversary, config.loss_rate,
+                    config.max_retries, config.seed);
+  if (!adversary_events.ok()) return adversary_events.status();
 
   ExperimentResult result;
-  result.scheme_name = protocol->Name();
+  // The engine names itself SIES_ENGINE; experiments report the scheme.
+  result.scheme_name =
+      config.scheme == Scheme::kSies ? "SIES" : protocol->Name();
   result.epochs = config.epochs;
 
   static telemetry::Counter* epochs_total =
@@ -403,15 +386,18 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
     }
 
     if (r.outcome.has_contributors) {
+      // Only SIES reports contributors; its answer is in query units.
       uint64_t exact = 0;
       for (net::NodeId node : r.outcome.contributors) {
         auto index = source_map.IndexOf(node);
         if (!index.ok()) return index.status();
         exact += trace->ValueAt(index.value(), epoch);
       }
+      auto expected = core::CombineChannels(sum_query, exact, 0, 0);
+      if (!expected.ok()) return expected.status();
       if (exact > 0) {
-        error_sum += std::abs(r.outcome.value - static_cast<double>(exact)) /
-                     static_cast<double>(exact);
+        error_sum += std::abs(r.outcome.value - expected.value().value) /
+                     expected.value().value;
       }
     } else {
       workload::EpochSnapshot snap = Snapshot(*trace, epoch);
@@ -435,9 +421,7 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   result.source_to_aggregator_bytes = sa.MeanBytes();
   result.aggregator_to_aggregator_bytes = aa.MeanBytes();
   result.aggregator_to_querier_bytes = aq.MeanBytes();
-  if (bitflip != nullptr) result.adversary_events = bitflip->tampered_count();
-  if (replay != nullptr) result.adversary_events = replay->replayed_count();
-  if (drop != nullptr) result.adversary_events = drop->dropped_count();
+  result.adversary_events = adversary_events.value()();
   result.lost_messages = network.lost_messages();
   result.mean_coverage = result.answered_epochs == 0
                              ? 0.0

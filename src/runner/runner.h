@@ -2,6 +2,8 @@
 // network simulator's AggregationProtocol interface and drives multi-
 // epoch experiments, reproducing the measurement methodology of the
 // paper's Section VI (average per-epoch cost per party over E epochs).
+// SIES runs as the K = 1 case of the multi-query engine (see
+// MakeSingleQueryScheduler); CMT and SECOA keep their own adapters.
 #ifndef SIES_RUNNER_RUNNER_H_
 #define SIES_RUNNER_RUNNER_H_
 
@@ -10,13 +12,11 @@
 #include <unordered_map>
 
 #include "cmt/cmt.h"
+#include "engine/epoch_scheduler.h"
 #include "net/adversary.h"
 #include "net/network.h"
 #include "secoa/secoa_max.h"
 #include "secoa/secoa_sum.h"
-#include "sies/aggregator.h"
-#include "sies/querier.h"
-#include "sies/source.h"
 #include "workload/workload.h"
 
 namespace sies::runner {
@@ -46,37 +46,6 @@ class SourceIndexMap {
  private:
   std::vector<net::NodeId> nodes_;
   std::unordered_map<net::NodeId, uint32_t> index_;
-};
-
-/// SIES bound to the simulator.
-class SiesProtocol : public net::AggregationProtocol {
- public:
-  SiesProtocol(core::Params params, core::QuerierKeys keys,
-               const net::Topology& topology, ValueFn values);
-
-  std::string Name() const override { return "SIES"; }
-  StatusOr<Bytes> SourceInitialize(net::NodeId id, uint64_t epoch) override;
-  StatusOr<Bytes> AggregatorMerge(net::NodeId id, uint64_t epoch,
-                                  const std::vector<Bytes>& children) override;
-  StatusOr<net::EvalOutcome> QuerierEvaluate(
-      uint64_t epoch, const Bytes& final_payload,
-      const std::vector<net::NodeId>& participating) override;
-
-  /// Sources are independent; they share only a mutex-guarded
-  /// EpochKeyCache, so per-source PSR creation may fan out.
-  bool ParallelSourceInitSafe() const override { return true; }
-  /// Forwards the pool to the querier's N-way share recomputation.
-  void SetThreadPool(common::ThreadPool* pool) override {
-    querier_.SetThreadPool(pool);
-  }
-
- private:
-  core::Params params_;
-  SourceIndexMap index_map_;
-  std::vector<core::Source> sources_;
-  core::Aggregator aggregator_;
-  core::Querier querier_;
-  ValueFn values_;
 };
 
 /// CMT bound to the simulator.
@@ -157,6 +126,15 @@ class SecoaMaxProtocol : public net::AggregationProtocol {
   ValueFn values_;
 };
 
+/// The K = 1 engine deployment behind every single-query SIES run: a
+/// MultiQueryEngine over `params`/`keys` serving only `query`, admitted
+/// at epoch 1 and bound to `topology` by an EpochScheduler, whose
+/// QuerierEvaluate reports that query's answer as the epoch outcome.
+StatusOr<std::unique_ptr<engine::EpochScheduler>> MakeSingleQueryScheduler(
+    const core::Params& params, const core::QuerierKeys& keys,
+    const net::Topology& topology, engine::ReadingFn readings,
+    const core::Query& query);
+
 /// Which scheme an experiment runs.
 enum class Scheme { kSies, kCmt, kSecoa };
 
@@ -168,6 +146,17 @@ enum class AdversaryKind {
   kReplay,  ///< ReplayAdversary: epoch-1 capture replayed afterwards
   kDrop,    ///< DropAdversary: source 0's contribution suppressed
 };
+
+/// Installs a run's radio loss and built-in attack on `network`: the one
+/// fault setup RunExperiment and RunEngineExperiment share. The returned
+/// function owns the adversary the network now points at, so it must
+/// outlive every epoch run; it reads the adversary's event count
+/// (payloads tampered, replayed or dropped; 0 under kNone).
+StatusOr<std::function<uint64_t()>> InstallFaults(net::Network& network,
+                                                 AdversaryKind adversary,
+                                                 double loss_rate,
+                                                 uint32_t max_retries,
+                                                 uint64_t seed);
 
 /// Full experiment configuration (defaults = the paper's defaults).
 struct ExperimentConfig {
@@ -245,7 +234,9 @@ struct ExperimentResult {
   /// Mean |reported - exact| / exact over answered epochs, where "exact"
   /// is the trace sum over the epoch's reported contributor set when the
   /// protocol reports one — a verified partial SUM is exact over its
-  /// contributors, so SIES keeps zero error under loss.
+  /// contributors, so SIES keeps zero error under loss. SIES answers in
+  /// the query's units (the scaled sum over 10^scale_pow10), and its
+  /// "exact" goes through the same conversion.
   double mean_relative_error = 0;
 };
 

@@ -68,8 +68,8 @@ StatusOr<crypto::BigUint> ParsePsr(const Params& params, const uint8_t* data,
 // --- Loss-reporting wire envelope -----------------------------------------
 //
 // wire payload = [contributor bitmap (⌈N/8⌉ bytes)][body], where the
-// body is one ciphertext PSR (the simulator protocol) or the
-// concatenated per-channel PSRs of a session payload. A source sets its
+// body is one ciphertext PSR or the concatenated per-channel PSRs of a
+// multi-query engine envelope. A source sets its
 // own bit, aggregators OR their children's bitmaps while summing
 // ciphertexts, and the querier reads the final bitmap as the
 // participating set — so radio losses are reported in-band instead of

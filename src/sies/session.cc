@@ -38,94 +38,4 @@ StatusOr<EpochOutcome> AssembleOutcome(const Query& query,
   return outcome;
 }
 
-StatusOr<Bytes> SourceSession::CreatePayload(const SensorReading& reading,
-                                             uint64_t epoch) const {
-  Bytes body;
-  for (Channel ch : ActiveChannels(query_)) {
-    auto value = ChannelValue(query_, ch, reading);
-    if (!value.ok()) return value.status();
-    auto psr = source_.CreatePsr(value.value(), SaltedEpoch(epoch, query_.query_id, ch));
-    if (!psr.ok()) return psr.status();
-    body.insert(body.end(), psr.value().begin(), psr.value().end());
-  }
-  ContributorBitmap bitmap(source_.params().num_sources);
-  Status set = bitmap.Set(source_.index());
-  if (!set.ok()) return set;
-  return SerializeWirePayload(source_.params(), bitmap, body);
-}
-
-StatusOr<Bytes> AggregatorSession::Merge(
-    const std::vector<Bytes>& children) const {
-  if (children.empty()) return Status::InvalidArgument("nothing to merge");
-  const Params& params = aggregator_.params();
-  const size_t width = params.PsrBytes();
-  const size_t channels = ActiveChannels(query_).size();
-  const size_t expected_body = channels * width;
-  ContributorBitmap bitmap(params.num_sources);
-  std::vector<Bytes> bodies;
-  bodies.reserve(children.size());
-  for (const Bytes& child : children) {
-    auto parsed = ParseWirePayload(params, child, expected_body);
-    if (!parsed.ok()) {
-      return Status::InvalidArgument("multi-channel payload width "
-                                     "mismatch");
-    }
-    Status merged = bitmap.OrWith(parsed.value().bitmap);
-    if (!merged.ok()) return merged;
-    bodies.push_back(std::move(parsed.value().body));
-  }
-  Bytes merged_body;
-  merged_body.reserve(expected_body);
-  for (size_t ch = 0; ch < channels; ++ch) {
-    std::vector<Bytes> slices;
-    slices.reserve(bodies.size());
-    for (const Bytes& body : bodies) {
-      slices.emplace_back(body.begin() + ch * width,
-                          body.begin() + (ch + 1) * width);
-    }
-    auto psr = aggregator_.Merge(slices);
-    if (!psr.ok()) return psr.status();
-    merged_body.insert(merged_body.end(), psr.value().begin(),
-                       psr.value().end());
-  }
-  return SerializeWirePayload(params, bitmap, merged_body);
-}
-
-StatusOr<QuerierSession::Outcome> QuerierSession::Evaluate(
-    const Bytes& final_payload, uint64_t epoch) const {
-  const Params& params = querier_.params();
-  const size_t width = params.PsrBytes();
-  std::vector<Channel> channels = ActiveChannels(query_);
-  auto parsed =
-      ParseWirePayload(params, final_payload, channels.size() * width);
-  if (!parsed.ok()) {
-    return Status::InvalidArgument("multi-channel payload width mismatch");
-  }
-  const Bytes& body = parsed.value().body;
-  std::vector<uint32_t> participating = parsed.value().bitmap.Indices();
-  uint64_t sum = 0, sum_squares = 0, count = 0;
-  bool verified = true;
-  for (size_t i = 0; i < channels.size(); ++i) {
-    Bytes slice(body.begin() + i * width, body.begin() + (i + 1) * width);
-    auto eval =
-        querier_.Evaluate(slice, SaltedEpoch(epoch, query_.query_id, channels[i]),
-                          participating);
-    if (!eval.ok()) return eval.status();
-    verified = verified && eval.value().verified;
-    switch (channels[i]) {
-      case Channel::kSum:
-        sum = eval.value().sum;
-        break;
-      case Channel::kSumSquares:
-        sum_squares = eval.value().sum;
-        break;
-      case Channel::kCount:
-        count = eval.value().sum;
-        break;
-    }
-  }
-  return AssembleOutcome(query_, params.num_sources, sum, sum_squares, count,
-                         verified, std::move(participating));
-}
-
 }  // namespace sies::core

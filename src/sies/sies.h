@@ -3,15 +3,15 @@
 //   #include "sies/sies.h"
 //
 // pulls in parameters/keys, the three protocol parties, the query model
-// and multi-channel sessions, histograms, provisioning, epoch clocks,
-// and the result log. The network simulator, baselines (CMT, SECOA,
-// commit-and-attest), and cost models live in their own headers.
+// and its per-epoch outcome types, provisioning, epoch clocks, and the
+// result log. The multi-query engine, the network simulator, baselines
+// (CMT, SECOA, commit-and-attest), and cost models live in their own
+// headers.
 #ifndef SIES_SIES_SIES_H_
 #define SIES_SIES_SIES_H_
 
 #include "sies/aggregator.h"
 #include "sies/epoch_clock.h"
-#include "sies/histogram.h"
 #include "sies/message_format.h"
 #include "sies/params.h"
 #include "sies/provisioning.h"

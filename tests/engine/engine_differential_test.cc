@@ -1,17 +1,19 @@
 // Differential test: the multi-query engine must produce outcomes
-// BIT-IDENTICAL to K independent single-query QuerierSessions over the
-// same readings — same values, same verified flags, same contributor
-// sets, same coverage — across query mixes, partial participation
-// (loss), and tampering. Also: per-query fault isolation (corrupting
-// one physical channel fails exactly the queries reading it) and
-// thread-count invariance.
+// BIT-IDENTICAL to a plaintext oracle over the same readings (Σ channel
+// value over the reported contributors, assembled by the same
+// AssembleOutcome) — same values, verified, same contributor sets, same
+// coverage — across query mixes, partial participation (loss), both
+// arithmetic tiers, and tampering. Also: per-query fault isolation
+// (corrupting one physical channel fails exactly the queries reading
+// it) and thread-count invariance.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "engine/engine.h"
-#include "sies/session.h"
+#include "engine/epoch_scheduler.h"
+#include "plaintext_oracle.h"
 #include "workload/workload.h"
 
 namespace sies::engine {
@@ -57,25 +59,6 @@ class Fixture {
     return eng.Merge(payloads);
   }
 
-  /// The same epoch through an independent single-query session.
-  StatusOr<core::EpochOutcome> SessionEpoch(
-      const core::Query& query, const std::vector<uint32_t>& participants,
-      uint64_t epoch) {
-    std::vector<Bytes> payloads;
-    for (uint32_t i : participants) {
-      core::SourceSession source(query, params_, i,
-                                 core::KeysForSource(keys_, i).value());
-      auto p = source.CreatePayload(trace_->ReadingAt(i, epoch), epoch);
-      if (!p.ok()) return p.status();
-      payloads.push_back(std::move(p).value());
-    }
-    core::AggregatorSession aggregator(query, params_);
-    auto merged = aggregator.Merge(payloads);
-    if (!merged.ok()) return merged.status();
-    core::QuerierSession querier(query, params_, keys_);
-    return querier.Evaluate(merged.value(), epoch);
-  }
-
   /// Asserts outcome equality for every query of the mix at `epoch`.
   void ExpectBitIdentical(const std::vector<core::Query>& mix,
                           const std::vector<uint32_t>& participants,
@@ -93,17 +76,27 @@ class Fixture {
     for (size_t i = 0; i < mix.size(); ++i) {
       const QueryEpochOutcome& got = outcomes.value()[i];
       EXPECT_EQ(got.query_id, mix[i].query_id);
-      auto want = SessionEpoch(mix[i], participants, epoch);
-      ASSERT_TRUE(want.ok()) << want.status().ToString();
-      // Bit-identical, not approximately equal: both paths run the same
-      // integer channel sums through the same AssembleOutcome doubles.
-      EXPECT_EQ(got.outcome.result.value, want.value().result.value)
-          << "query " << mix[i].ToSql();
-      EXPECT_EQ(got.outcome.result.count, want.value().result.count);
-      EXPECT_EQ(got.outcome.verified, want.value().verified);
-      EXPECT_EQ(got.outcome.contributors, want.value().contributors);
-      EXPECT_EQ(got.outcome.coverage, want.value().coverage);
+      // The bitmap must report exactly the sources that transmitted.
+      EXPECT_EQ(got.outcome.contributors, participants);
+      ExpectMatchesOracle(mix[i], got.outcome, epoch);
     }
+  }
+
+  /// Asserts `got` is the verified plaintext answer of `query` over the
+  /// contributors it reports.
+  void ExpectMatchesOracle(const core::Query& query,
+                           const core::EpochOutcome& got, uint64_t epoch) {
+    auto want = PlaintextOutcome(query, params_.num_sources, *trace_,
+                                 got.contributors, epoch);
+    ASSERT_TRUE(want.ok()) << want.status().ToString();
+    // Bit-identical, not approximately equal: both sides run the same
+    // integer channel sums through the same AssembleOutcome doubles.
+    EXPECT_EQ(got.result.value, want.value().result.value)
+        << "query " << query.ToSql();
+    EXPECT_EQ(got.result.count, want.value().result.count);
+    EXPECT_EQ(got.verified, want.value().verified);
+    EXPECT_EQ(got.contributors, want.value().contributors);
+    EXPECT_EQ(got.coverage, want.value().coverage);
   }
 
   core::Params params_{};
@@ -148,34 +141,33 @@ std::vector<core::Query> MixAttributes() {
           MakeQuery(core::Aggregate::kAvg, 7, core::Field::kHumidity, 1)};
 }
 
-TEST(EngineDifferentialTest, SharedMixMatchesSessionsFullParticipation) {
+TEST(EngineDifferentialTest, SharedMixMatchesOracleFullParticipation) {
   Fixture f;
   for (uint64_t epoch : {1u, 2u, 5u}) {
     f.ExpectBitIdentical(MixShared(), AllSources(), epoch);
   }
 }
 
-TEST(EngineDifferentialTest, SharedMixMatchesSessionsUnderLoss) {
+TEST(EngineDifferentialTest, SharedMixMatchesOracleUnderLoss) {
   Fixture f;
   f.ExpectBitIdentical(MixShared(), EveryOtherSource(), 3);
 }
 
-TEST(EngineDifferentialTest, PredicatedMixMatchesSessions) {
+TEST(EngineDifferentialTest, PredicatedMixMatchesOracle) {
   Fixture f;
   f.ExpectBitIdentical(MixPredicated(), AllSources(), 1);
   f.ExpectBitIdentical(MixPredicated(), EveryOtherSource(), 2);
 }
 
-TEST(EngineDifferentialTest, AttributeMixMatchesSessions) {
+TEST(EngineDifferentialTest, AttributeMixMatchesOracle) {
   Fixture f;
   f.ExpectBitIdentical(MixAttributes(), AllSources(), 1);
   f.ExpectBitIdentical(MixAttributes(), EveryOtherSource(), 4);
 }
 
-TEST(EngineDifferentialTest, TamperedChannelMatchesTamperedSession) {
+TEST(EngineDifferentialTest, TamperedChannelFailsOnlyItsReaders) {
   // Corrupt the final byte of the envelope (inside the LAST physical
-  // channel's PSR) on both paths: the engine must agree with the
-  // session reading that channel — unverified on both sides.
+  // channel's PSR): exactly the queries reading that channel fail.
   Fixture f;
   MultiQueryEngine eng = f.MakeEngine();
   core::Query sum = MakeQuery(core::Aggregate::kSum, 0);
@@ -196,6 +188,126 @@ TEST(EngineDifferentialTest, TamperedChannelMatchesTamperedSession) {
       << "SUM does not read the corrupted channel";
   EXPECT_FALSE(outcomes.value()[1].outcome.verified)
       << "VARIANCE reads the corrupted channel";
+}
+
+TEST(EngineDifferentialTest, NoMatchesYieldZero) {
+  // COUNT-dependent aggregates over an empty match set verify and
+  // report 0 rather than dividing by a zero count.
+  Fixture f;
+  core::Query q = MakeQuery(core::Aggregate::kAvg, 0);
+  q.where = core::Predicate{core::Field::kTemperature,
+                            core::CompareOp::kGreater, 1000.0};
+  f.ExpectBitIdentical({q}, AllSources(), 6);
+  MultiQueryEngine eng = f.MakeEngine();
+  ASSERT_TRUE(eng.Admit(q, 1).ok());
+  auto merged = f.EngineRound(eng, AllSources(), 6);
+  ASSERT_TRUE(merged.ok());
+  auto outcomes = eng.Evaluate(merged.value(), 6);
+  ASSERT_TRUE(outcomes.ok());
+  EXPECT_TRUE(outcomes.value()[0].outcome.verified);
+  EXPECT_EQ(outcomes.value()[0].outcome.result.value, 0.0);
+  EXPECT_EQ(outcomes.value()[0].outcome.result.count, 0u);
+}
+
+TEST(EngineDifferentialTest, ReplayedEnvelopeFailsEveryQuery) {
+  // Freshness (Theorem 4): an envelope captured at epoch 8 and replayed
+  // at epoch 9 fails every channel, hence every query.
+  Fixture f;
+  MultiQueryEngine eng = f.MakeEngine();
+  for (const core::Query& q : MixShared()) ASSERT_TRUE(eng.Admit(q, 1).ok());
+  auto captured = f.EngineRound(eng, AllSources(), 8);
+  ASSERT_TRUE(captured.ok());
+  auto fresh = eng.Evaluate(captured.value(), 8);
+  auto replayed = eng.Evaluate(captured.value(), 9);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(replayed.ok());
+  for (size_t i = 0; i < MixShared().size(); ++i) {
+    EXPECT_TRUE(fresh.value()[i].outcome.verified);
+    EXPECT_FALSE(replayed.value()[i].outcome.verified);
+  }
+}
+
+TEST(EngineDifferentialTest, ChannelsAreIndependentlyKeyed) {
+  // The same reading encrypts differently on the SUM and COUNT slots of
+  // one envelope, and a query admitted under another id (so another
+  // channel salt) cannot verify this plan's envelope.
+  Fixture f;
+  core::Query avg = MakeQuery(core::Aggregate::kAvg, 1,
+                              core::Field::kHumidity, 0);
+  MultiQueryEngine eng = f.MakeEngine();
+  ASSERT_TRUE(eng.Admit(avg, 1).ok());
+  auto payload = eng.CreateSourcePayload(0, f.trace_->ReadingAt(0, 3), 3);
+  ASSERT_TRUE(payload.ok());
+  const size_t width = f.params_.PsrBytes();
+  auto body = payload.value().begin() + core::WireBitmapBytes(f.params_);
+  EXPECT_NE(Bytes(body, body + width), Bytes(body + width, body + 2 * width));
+
+  core::Query impostor = avg;
+  impostor.query_id = 3;
+  MultiQueryEngine other = f.MakeEngine();
+  ASSERT_TRUE(other.Admit(impostor, 1).ok());
+  auto merged = f.EngineRound(eng, AllSources(), 3);
+  ASSERT_TRUE(merged.ok());
+  auto crossed = other.Evaluate(merged.value(), 3);
+  ASSERT_TRUE(crossed.ok());
+  EXPECT_FALSE(crossed.value()[0].outcome.verified);
+}
+
+TEST(EngineDifferentialTest, MalformedEnvelopesAreRejected) {
+  Fixture f;
+  MultiQueryEngine eng = f.MakeEngine();
+  ASSERT_TRUE(eng.Admit(MakeQuery(core::Aggregate::kAvg, 0), 1).ok());
+  EXPECT_FALSE(eng.Merge({Bytes(5, 0)}).ok());
+  EXPECT_FALSE(eng.Merge({}).ok());
+  EXPECT_FALSE(eng.Evaluate(Bytes(5, 0), 1).ok());
+}
+
+TEST(EngineDifferentialTest, HardenedProfileMixMatchesOracleUnderLoss) {
+  // The generic BigUint tier: the hardened HM256 profile (352-bit prime,
+  // HMAC-SHA256 shares) instead of the 256-bit Fp256 fast path, driven
+  // over a network whose radio turns lossy after epoch 4.
+  auto params = core::MakeParams(kN, kSeed, /*value_bytes=*/8,
+                                 /*prime_bits=*/352,
+                                 core::SharePrf::kHmacSha256)
+                    .value();
+  ASSERT_EQ(params.Fp(), nullptr) << "352 bits must take the BigUint tier";
+  Fixture f;
+  f.params_ = params;
+  f.keys_ = core::GenerateKeys(params, EncodeUint64(kSeed));
+  net::Network network(net::Topology::BuildCompleteTree(kN, 4).value());
+  EpochScheduler scheduler(
+      std::make_shared<MultiQueryEngine>(f.params_, f.keys_),
+      network.topology(), [&f](uint32_t index, uint64_t epoch) {
+        return f.trace_->ReadingAt(index, epoch);
+      });
+  std::vector<core::Query> mix = MixPredicated();
+  mix.push_back(
+      MakeQuery(core::Aggregate::kSum, 3, core::Field::kHumidity, 1));
+  for (const core::Query& q : mix) ASSERT_TRUE(scheduler.Admit(q, 1).ok());
+
+  int lossless = 0, partial = 0;
+  for (uint64_t epoch = 1; epoch <= 10; ++epoch) {
+    if (epoch == 5) {
+      ASSERT_TRUE(network.SetLossRate(0.2, kSeed).ok());
+    }
+    auto report = network.RunEpoch(scheduler, epoch);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    if (!report.value().answered) continue;  // final payload lost
+    const auto& outcomes = scheduler.last_outcomes();
+    ASSERT_EQ(outcomes.size(), mix.size());
+    for (size_t i = 0; i < mix.size(); ++i) {
+      EXPECT_EQ(outcomes[i].query_id, mix[i].query_id);
+      f.ExpectMatchesOracle(mix[i], outcomes[i].outcome, epoch);
+    }
+    if (report.value().coverage < 1.0) {
+      EXPECT_GE(epoch, 5u) << "loss before the radio turned lossy";
+      ++partial;
+    } else {
+      ++lossless;
+    }
+  }
+  EXPECT_GE(lossless, 4);
+  EXPECT_GT(partial, 0) << "the lossy epochs produced no partial answer";
 }
 
 TEST(EngineDifferentialTest, ThreadCountDoesNotChangeOutcomes) {

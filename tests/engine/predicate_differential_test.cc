@@ -1,9 +1,10 @@
 // Differential test for compiled range queries: the engine's dyadic
-// bucket channels must produce answers BIT-IDENTICAL to (a) one direct
-// band QuerierSession evaluating the predicate at the source, and (b)
-// brute-force per-bucket independent QuerierSessions whose outcomes are
-// summed — across full participation, loss, tampering, and live
-// admission — while using at most 2 * ceil(log2 D) channels per kind.
+// bucket channels must produce answers BIT-IDENTICAL to two plaintext
+// oracles over the reported contributors — (a) the direct band value,
+// each source's reading gated on the band itself, and (b) brute-force
+// per-bucket answers summed over the band's dyadic cover — across full
+// participation, loss, tampering, and live admission, while using at
+// most 2 * ceil(log2 D) channels per kind.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,9 +12,9 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "plaintext_oracle.h"
 #include "predicate/compiler.h"
 #include "predicate/dyadic.h"
-#include "sies/session.h"
 #include "workload/workload.h"
 
 namespace sies::engine {
@@ -74,27 +75,16 @@ class Fixture {
     return eng.Merge(payloads);
   }
 
-  /// The same epoch through ONE independent session (the direct band
-  /// path: sources gate their transmission on band membership).
-  StatusOr<core::EpochOutcome> SessionEpoch(
-      const core::Query& query, const std::vector<uint32_t>& participants,
+  /// Oracle (a), the direct band path: every contributor's reading
+  /// gated on band membership at the source, in plaintext.
+  StatusOr<core::EpochOutcome> DirectBand(
+      const core::Query& query, const std::vector<uint32_t>& contributors,
       uint64_t epoch) {
-    std::vector<Bytes> payloads;
-    for (uint32_t i : participants) {
-      core::SourceSession source(query, params_, i,
-                                 core::KeysForSource(keys_, i).value());
-      auto p = source.CreatePayload(trace_->ReadingAt(i, epoch), epoch);
-      if (!p.ok()) return p.status();
-      payloads.push_back(std::move(p).value());
-    }
-    core::AggregatorSession aggregator(query, params_);
-    auto merged = aggregator.Merge(payloads);
-    if (!merged.ok()) return merged.status();
-    core::QuerierSession querier(query, params_, keys_);
-    return querier.Evaluate(merged.value(), epoch);
+    return PlaintextOutcome(query, params_.num_sources, *trace_,
+                            contributors, epoch);
   }
 
-  /// Brute force: one fully independent session PER DYADIC BUCKET of
+  /// Oracle (b), brute force: one plaintext answer PER DYADIC BUCKET of
   /// the band, summing counts and (integer-valued) sums across the
   /// buckets. Exact because the cover partitions the band.
   struct BucketedTruth {
@@ -103,8 +93,8 @@ class Fixture {
     bool verified = true;
     size_t buckets = 0;
   };
-  StatusOr<BucketedTruth> PerBucketSessions(
-      const core::Query& query, const std::vector<uint32_t>& participants,
+  StatusOr<BucketedTruth> PerBucket(
+      const core::Query& query, const std::vector<uint32_t>& contributors,
       uint64_t epoch) {
     auto scaled = predicate::QuantizeBand(*query.band, query.scale_pow10);
     if (!scaled.ok()) return scaled.status();
@@ -118,7 +108,7 @@ class Fixture {
       core::Query bucket = query;
       bucket.band->lo = static_cast<double>(iv.Lo()) / descale;
       bucket.band->hi = static_cast<double>(iv.Hi()) / descale;
-      auto outcome = SessionEpoch(bucket, participants, epoch);
+      auto outcome = DirectBand(bucket, contributors, epoch);
       if (!outcome.ok()) return outcome.status();
       truth.count += outcome.value().result.count;
       truth.value_sum += outcome.value().result.value;
@@ -165,8 +155,11 @@ void ExpectBandCountMatches(Fixture& f, const core::Query& band_query,
   ASSERT_EQ(outcomes.value().size(), 1u);
   const core::EpochOutcome& got = outcomes.value()[0].outcome;
 
-  // Ground truth (a): the direct band session.
-  auto direct = f.SessionEpoch(band_query, participants, epoch);
+  // The bitmap must report exactly the sources that transmitted.
+  EXPECT_EQ(got.contributors, participants);
+
+  // Ground truth (a): the direct band value.
+  auto direct = f.DirectBand(band_query, got.contributors, epoch);
   ASSERT_TRUE(direct.ok()) << direct.status().ToString();
   EXPECT_EQ(got.result.value, direct.value().result.value);
   EXPECT_EQ(got.result.count, direct.value().result.count);
@@ -174,8 +167,8 @@ void ExpectBandCountMatches(Fixture& f, const core::Query& band_query,
   EXPECT_EQ(got.contributors, direct.value().contributors);
   EXPECT_EQ(got.coverage, direct.value().coverage);
 
-  // Ground truth (b): independent per-bucket sessions, summed.
-  auto truth = f.PerBucketSessions(band_query, participants, epoch);
+  // Ground truth (b): independent per-bucket answers, summed.
+  auto truth = f.PerBucket(band_query, got.contributors, epoch);
   ASSERT_TRUE(truth.ok()) << truth.status().ToString();
   EXPECT_TRUE(truth.value().verified);
   EXPECT_EQ(got.result.count, truth.value().count);
@@ -203,9 +196,9 @@ TEST(PredicateDifferentialTest, CountBandUnderLoss) {
                          EveryOtherSource(), 5);
 }
 
-TEST(PredicateDifferentialTest, SumBandMatchesPerBucketSessions) {
+TEST(PredicateDifferentialTest, SumBandMatchesPerBucketOracle) {
   // Scale 0: every per-bucket SUM is integer-valued, so the summed
-  // session values are exact and the comparison is bit-identical.
+  // bucket values are exact and the comparison is bit-identical.
   Fixture f;
   core::Query q = BandQuery(core::Aggregate::kSum, 0, 20.0, 40.0,
                             /*scale=*/0);
@@ -217,20 +210,20 @@ TEST(PredicateDifferentialTest, SumBandMatchesPerBucketSessions) {
   ASSERT_TRUE(outcomes.ok());
   const core::EpochOutcome& got = outcomes.value()[0].outcome;
 
-  auto truth = f.PerBucketSessions(q, AllSources(), 1);
+  auto truth = f.PerBucket(q, AllSources(), 1);
   ASSERT_TRUE(truth.ok());
   EXPECT_EQ(got.result.value, truth.value().value_sum);
   EXPECT_EQ(got.result.count, truth.value().count);
 
-  auto direct = f.SessionEpoch(q, AllSources(), 1);
+  auto direct = f.DirectBand(q, AllSources(), 1);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(got.result.value, direct.value().result.value);
   EXPECT_EQ(got.verified, direct.value().verified);
 }
 
-TEST(PredicateDifferentialTest, AvgAndVarianceBandsMatchDirectSession) {
+TEST(PredicateDifferentialTest, AvgAndVarianceBandsMatchDirectBand) {
   // Multi-kind band queries (SUM+COUNT, +SUMSQ): assembled from bucket
-  // sums per kind, bit-identical to the direct band session.
+  // sums per kind, bit-identical to the direct band value.
   Fixture f;
   for (auto aggregate : {core::Aggregate::kAvg, core::Aggregate::kVariance}) {
     core::Query q = BandQuery(aggregate, 0, 22.0, 41.5);
@@ -240,7 +233,7 @@ TEST(PredicateDifferentialTest, AvgAndVarianceBandsMatchDirectSession) {
     ASSERT_TRUE(merged.ok());
     auto outcomes = eng.Evaluate(merged.value(), 1);
     ASSERT_TRUE(outcomes.ok()) << outcomes.status().ToString();
-    auto direct = f.SessionEpoch(q, AllSources(), 1);
+    auto direct = f.DirectBand(q, AllSources(), 1);
     ASSERT_TRUE(direct.ok()) << direct.status().ToString();
     EXPECT_EQ(outcomes.value()[0].outcome.result.value,
               direct.value().result.value)
@@ -290,15 +283,15 @@ TEST(PredicateDifferentialTest, LiveAdmissionAndTeardownOfBandQuery) {
   ASSERT_TRUE(o1.ok());
   ASSERT_EQ(o1.value().size(), 1u);
 
-  // Epoch 2: the band query joins live and must match its direct
-  // session immediately.
+  // Epoch 2: the band query joins live and must match its direct band
+  // value immediately.
   ASSERT_TRUE(eng.Admit(band, 2).ok());
   auto m2 = f.EngineRound(eng, AllSources(), 2);
   ASSERT_TRUE(m2.ok());
   auto o2 = eng.Evaluate(m2.value(), 2);
   ASSERT_TRUE(o2.ok());
   ASSERT_EQ(o2.value().size(), 2u);
-  auto direct = f.SessionEpoch(band, AllSources(), 2);
+  auto direct = f.DirectBand(band, AllSources(), 2);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(o2.value()[1].outcome.result.value,
             direct.value().result.value);
@@ -313,7 +306,7 @@ TEST(PredicateDifferentialTest, LiveAdmissionAndTeardownOfBandQuery) {
   auto o3 = eng.Evaluate(m3.value(), 3);
   ASSERT_TRUE(o3.ok());
   ASSERT_EQ(o3.value().size(), 1u);
-  auto plain_direct = f.SessionEpoch(plain, AllSources(), 3);
+  auto plain_direct = f.DirectBand(plain, AllSources(), 3);
   ASSERT_TRUE(plain_direct.ok());
   EXPECT_EQ(o3.value()[0].outcome.result.value,
             plain_direct.value().result.value);
@@ -342,7 +335,7 @@ TEST(PredicateDifferentialTest, OverlappingBandsDedupSharedBuckets) {
   ASSERT_TRUE(outcomes.ok());
   for (size_t i = 0; i < 2; ++i) {
     const core::Query& q = i == 0 ? a : b;
-    auto direct = f.SessionEpoch(q, AllSources(), 1);
+    auto direct = f.DirectBand(q, AllSources(), 1);
     ASSERT_TRUE(direct.ok());
     EXPECT_EQ(outcomes.value()[i].outcome.result.value,
               direct.value().result.value);

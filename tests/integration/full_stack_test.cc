@@ -97,7 +97,9 @@ TEST(FullStackTest, LifecycleAcrossAllLayers) {
   (void)clean;
 }
 
-// The same end-to-end flow holds at every supported prime width.
+// The same end-to-end flow holds at every supported prime width: the
+// K = 1 engine over a full network, 224 to 512 bits (256 is the Fp256
+// fast path, every other width the generic BigUint tier).
 class PrimeWidthEndToEnd : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(PrimeWidthEndToEnd, FullNetworkExactAtWidth) {
@@ -111,15 +113,22 @@ TEST_P(PrimeWidthEndToEnd, FullNetworkExactAtWidth) {
   tc.num_sources = kN;
   tc.seed = bits;
   workload::TraceGenerator trace(tc);
-  SiesProtocol protocol(params, keys, topology,
-                        [&trace](uint32_t i, uint64_t e) {
-                          return trace.ValueAt(i, e);
-                        });
+  core::Query query;  // SUM(temperature) at the trace's 10^2 scaling
+  auto protocol = MakeSingleQueryScheduler(
+                      params, keys, topology,
+                      [&trace](uint32_t i, uint64_t e) {
+                        return trace.ReadingAt(i, e);
+                      },
+                      query)
+                      .value();
   for (uint64_t epoch = 1; epoch <= 2; ++epoch) {
-    auto report = network.RunEpoch(protocol, epoch).value();
+    auto report = network.RunEpoch(*protocol, epoch).value();
     EXPECT_TRUE(report.outcome.verified) << bits << " bits";
     EXPECT_EQ(report.outcome.value,
-              static_cast<double>(Snapshot(trace, epoch).exact_sum));
+              core::CombineChannels(query, Snapshot(trace, epoch).exact_sum,
+                                    0, 0)
+                  .value()
+                  .value);
     EXPECT_DOUBLE_EQ(
         report.source_to_aggregator.MeanBytes(),
         static_cast<double>((bits + 7) / 8 +

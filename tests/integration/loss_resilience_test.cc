@@ -80,7 +80,8 @@ TEST(LossResilienceTest, TotalBlackoutLeavesAllEpochsUnanswered) {
   EXPECT_TRUE(result.all_verified);
 }
 
-// Shared fixture for audit-trail checks over the raw network.
+// Shared fixture for audit-trail checks over the raw network: the K = 1
+// engine serving SUM(temperature) over the trace.
 struct AuditFixture {
   explicit AuditFixture(uint32_t n = 16, uint64_t seed = 51)
       : network(net::Topology::BuildCompleteTree(n, 4).value()),
@@ -92,16 +93,19 @@ struct AuditFixture {
           c.seed = seed;
           return workload::TraceGenerator(c);
         }()),
-        protocol(params, keys, network.topology(),
-                 [this](uint32_t index, uint64_t epoch) {
-                   return trace.ValueAt(index, epoch);
-                 }) {}
+        protocol(MakeSingleQueryScheduler(
+                     params, keys, network.topology(),
+                     [this](uint32_t index, uint64_t epoch) {
+                       return trace.ReadingAt(index, epoch);
+                     },
+                     core::Query{})
+                     .value()) {}
 
   net::Network network;
   core::Params params;
   core::QuerierKeys keys;
   workload::TraceGenerator trace;
-  SiesProtocol protocol;
+  std::unique_ptr<engine::EpochScheduler> protocol;
 };
 
 TEST(LossResilienceTest, PureRadioLossNeverAuditedAsTampering) {
@@ -111,7 +115,7 @@ TEST(LossResilienceTest, PureRadioLossNeverAuditedAsTampering) {
   audit.Enable();
   ASSERT_TRUE(fx.network.SetLossRate(0.2, 77).ok());
   for (uint64_t epoch = 1; epoch <= 20; ++epoch) {
-    (void)fx.network.RunEpoch(fx.protocol, epoch);
+    (void)fx.network.RunEpoch(*fx.protocol, epoch);
   }
   EXPECT_GT(fx.network.lost_messages(), 0u);
   EXPECT_GT(audit.CountOf(telemetry::AuditKind::kRadioLoss), 0u);
@@ -131,7 +135,7 @@ TEST(LossResilienceTest, AdversaryDropAndRadioLossAreDistinctEvents) {
   net::NodeId victim = fx.network.topology().sources()[2];
   net::DropAdversary adv(victim);
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 1).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 1).value();
   fx.network.SetAdversary(nullptr);
   EXPECT_TRUE(report.outcome.verified);
   EXPECT_LT(report.coverage, 1.0);
@@ -151,7 +155,7 @@ TEST(LossResilienceTest, RetransmitCountersAttributedPerEdge) {
   fx.network.SetMaxRetries(4);
   uint64_t edge_retransmits = 0;
   for (uint64_t epoch = 1; epoch <= 10; ++epoch) {
-    auto report = fx.network.RunEpoch(fx.protocol, epoch).value();
+    auto report = fx.network.RunEpoch(*fx.protocol, epoch).value();
     edge_retransmits += report.source_to_aggregator.retransmits +
                         report.aggregator_to_aggregator.retransmits +
                         report.aggregator_to_querier.retransmits;

@@ -69,6 +69,13 @@ TEST(DeploymentTest, QuerySwitchWithoutRekeying) {
   // Back to the first query: still no rekeying, still verifying.
   ASSERT_TRUE(deployment.RegisterQuery(SumTempQuery()).ok());
   EXPECT_TRUE(deployment.RunEpoch(3).value().verified);
+  // Re-registering the live query's own id is a switch too, not a
+  // duplicate admission.
+  ASSERT_TRUE(deployment.RegisterQuery(SumTempQuery()).ok());
+  EXPECT_EQ(deployment.queries_registered(), 4u);
+  auto again = deployment.RunEpoch(4).value();
+  EXPECT_TRUE(again.verified);
+  EXPECT_EQ(again.query_id, 1u);
 }
 
 TEST(DeploymentTest, AttacksStillDetectedAfterQuerySwitch) {
@@ -107,8 +114,9 @@ TEST(DeploymentTest, ChainExhaustionReported) {
           .value();
   EXPECT_TRUE(deployment.RegisterQuery(SumTempQuery()).ok());
   EXPECT_TRUE(deployment.RegisterQuery(AvgHumidityQuery()).ok());
-  // Third registration exceeds the muTesla chain.
+  // Third registration exceeds the muTesla chain, and is not counted.
   EXPECT_FALSE(deployment.RegisterQuery(SumTempQuery()).ok());
+  EXPECT_EQ(deployment.queries_registered(), 2u);
 }
 
 }  // namespace

@@ -120,23 +120,30 @@ TEST_P(RandomTopologySweep, ExactOnIrregularTrees) {
   tc.seed = seed;
   tc.temporal_model = workload::TemporalModel::kRandomWalk;
   workload::TraceGenerator trace(tc);
-  SiesProtocol protocol(params, keys, topology,
-                        [&trace](uint32_t i, uint64_t e) {
-                          return trace.ValueAt(i, e);
-                        });
+  core::Query query;  // SUM(temperature) at the trace's 10^2 scaling
+  auto protocol = MakeSingleQueryScheduler(
+                      params, keys, topology,
+                      [&trace](uint32_t i, uint64_t e) {
+                        return trace.ReadingAt(i, e);
+                      },
+                      query)
+                      .value();
   for (uint64_t epoch = 1; epoch <= 3; ++epoch) {
-    auto report = network.RunEpoch(protocol, epoch).value();
+    auto report = network.RunEpoch(*protocol, epoch).value();
     EXPECT_TRUE(report.outcome.verified)
         << "seed " << seed << " epoch " << epoch;
     EXPECT_EQ(report.outcome.value,
-              static_cast<double>(Snapshot(trace, epoch).exact_sum));
+              core::CombineChannels(query, Snapshot(trace, epoch).exact_sum,
+                                    0, 0)
+                  .value()
+                  .value);
   }
   // One reported failure; the rest must still verify exactly.
   if (n > 1) {
     net::NodeId victim =
         topology.sources()[rng.NextBelow(topology.sources().size())];
     network.FailSource(victim);
-    auto report = network.RunEpoch(protocol, 4).value();
+    auto report = network.RunEpoch(*protocol, 4).value();
     EXPECT_TRUE(report.outcome.verified) << "seed " << seed;
   }
 }

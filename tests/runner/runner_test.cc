@@ -82,6 +82,61 @@ TEST(RunExperimentTest, DeterministicAcrossRuns) {
   auto b = RunExperiment(SmallConfig(Scheme::kSies)).value();
   EXPECT_EQ(a.all_verified, b.all_verified);
   EXPECT_DOUBLE_EQ(a.mean_relative_error, b.mean_relative_error);
+
+  // Pinned non-timing results over the loss x adversary matrix (N = 16,
+  // F = 4, 12 epochs, seed 11): any drift in wire width, loss-RNG
+  // consumption, verdicts or coverage shows up here.
+  struct Pinned {
+    double loss_rate;
+    AdversaryKind adversary;
+    uint32_t answered, partial, unanswered, unverified;
+    uint64_t retransmits, lost, adversary_events;
+    double mean_coverage, sa_bytes, aa_bytes, aq_bytes, relative_error;
+  };
+  const Pinned kPinned[] = {
+      {0.0, AdversaryKind::kNone, 12, 0, 0, 0, 0, 0, 0, 1, 34, 34, 34, 0},
+      {0.0, AdversaryKind::kTamper, 12, 0, 0, 12, 0, 0, 252, 1, 34, 34, 34,
+       1},
+      {0.0, AdversaryKind::kReplay, 12, 0, 0, 11, 0, 0, 231, 1, 34, 34, 34,
+       0.91666666666666663},
+      {0.0, AdversaryKind::kDrop, 12, 12, 0, 0, 0, 0, 12, 0.9375, 34, 34, 34,
+       0},
+      {0.2, AdversaryKind::kNone, 12, 1, 0, 0, 58, 1, 0, 0.99479166666666663,
+       41.4375, 43.916666666666664, 39.666666666666664, 0},
+      {0.2, AdversaryKind::kTamper, 12, 0, 0, 12, 58, 1, 251,
+       0.99479166666666663, 41.4375, 43.916666666666664, 39.666666666666664,
+       1},
+      {0.2, AdversaryKind::kReplay, 12, 1, 0, 11, 58, 1, 220, 0.9375,
+       41.4375, 43.916666666666664, 39.666666666666664, 0.91666666666666663},
+      {0.2, AdversaryKind::kDrop, 12, 12, 0, 0, 58, 1, 12,
+       0.93229166666666663, 41.4375, 43.916666666666664, 39.666666666666664,
+       0},
+  };
+  for (const Pinned& want : kPinned) {
+    ExperimentConfig c = SmallConfig(Scheme::kSies);
+    c.epochs = 12;
+    c.adversary = want.adversary;
+    if (want.loss_rate > 0) {
+      c.loss_rate = want.loss_rate;
+      c.max_retries = 2;
+    }
+    auto got = RunExperiment(c).value();
+    SCOPED_TRACE("loss " + std::to_string(want.loss_rate) + " adversary " +
+                 std::to_string(static_cast<int>(want.adversary)));
+    EXPECT_EQ(got.scheme_name, "SIES");
+    EXPECT_EQ(got.answered_epochs, want.answered);
+    EXPECT_EQ(got.partial_epochs, want.partial);
+    EXPECT_EQ(got.unanswered_epochs, want.unanswered);
+    EXPECT_EQ(got.unverified_epochs, want.unverified);
+    EXPECT_EQ(got.retransmits, want.retransmits);
+    EXPECT_EQ(got.lost_messages, want.lost);
+    EXPECT_EQ(got.adversary_events, want.adversary_events);
+    EXPECT_EQ(got.mean_coverage, want.mean_coverage);
+    EXPECT_EQ(got.source_to_aggregator_bytes, want.sa_bytes);
+    EXPECT_EQ(got.aggregator_to_aggregator_bytes, want.aa_bytes);
+    EXPECT_EQ(got.aggregator_to_querier_bytes, want.aq_bytes);
+    EXPECT_EQ(got.mean_relative_error, want.relative_error);
+  }
 }
 
 TEST(RunExperimentTest, FanoutSweepRuns) {
@@ -115,14 +170,19 @@ TEST(RunExperimentTest, ResultsBitIdenticalAcrossThreadCounts) {
     network.SetThreadPool(&pool);
     auto params = core::MakeParams(16, 11).value();
     core::QuerierKeys keys = core::GenerateKeys(params, EncodeUint64(11));
-    ValueFn values = [](uint32_t index, uint64_t epoch) {
-      return 1800 + 13 * index + epoch;
+    engine::ReadingFn readings = [](uint32_t index, uint64_t epoch) {
+      core::SensorReading reading;
+      reading.temperature = static_cast<double>(1800 + 13 * index + epoch);
+      return reading;
     };
-    SiesProtocol protocol(params, std::move(keys), network.topology(),
-                          values);
-    protocol.SetThreadPool(&pool);
+    core::Query query;
+    query.scale_pow10 = 0;
+    auto protocol = MakeSingleQueryScheduler(params, keys, network.topology(),
+                                             readings, query)
+                        .value();
+    protocol->SetThreadPool(&pool);
     for (uint64_t epoch = 1; epoch <= 4; ++epoch) {
-      auto report = network.RunEpoch(protocol, epoch);
+      auto report = network.RunEpoch(*protocol, epoch);
       if (!report.ok()) {
         // Losses can starve the querier of a final payload; that must
         // happen identically for every thread count.

@@ -13,7 +13,8 @@
 namespace sies::runner {
 namespace {
 
-// Builds a ready-to-run SIES network with protocol + trace.
+// Builds a ready-to-run SIES network: the K = 1 engine serving
+// SUM(temperature) over the trace.
 struct SiesFixture {
   explicit SiesFixture(uint32_t n = 16, uint32_t fanout = 4,
                        uint64_t seed = 21)
@@ -26,25 +27,34 @@ struct SiesFixture {
           c.seed = seed;
           return workload::TraceGenerator(c);
         }()),
-        protocol(params, keys, network.topology(),
-                 [this](uint32_t index, uint64_t epoch) {
-                   return trace.ValueAt(index, epoch);
-                 }) {}
+        protocol(MakeSingleQueryScheduler(
+                     params, keys, network.topology(),
+                     [this](uint32_t index, uint64_t epoch) {
+                       return trace.ReadingAt(index, epoch);
+                     },
+                     query)
+                     .value()) {}
+
+  /// The answer a verified epoch reports for a sum of scaled readings.
+  double Answer(uint64_t scaled_sum) const {
+    return core::CombineChannels(query, scaled_sum, 0, 0).value().value;
+  }
 
   net::Network network;
   core::Params params;
   core::QuerierKeys keys;
   workload::TraceGenerator trace;
-  SiesProtocol protocol;
+  core::Query query;  ///< SUM(temperature) at the trace's 10^2 scaling
+  std::unique_ptr<engine::EpochScheduler> protocol;
 };
 
 TEST(SiesAttackTest, HonestRunsVerifyAndAreExact) {
   SiesFixture fx;
   for (uint64_t epoch = 1; epoch <= 5; ++epoch) {
-    auto report = fx.network.RunEpoch(fx.protocol, epoch).value();
+    auto report = fx.network.RunEpoch(*fx.protocol, epoch).value();
     EXPECT_TRUE(report.outcome.verified) << "epoch " << epoch;
     EXPECT_EQ(report.outcome.value,
-              static_cast<double>(Snapshot(fx.trace, epoch).exact_sum));
+              fx.Answer(Snapshot(fx.trace, epoch).exact_sum));
   }
 }
 
@@ -56,7 +66,7 @@ TEST(SiesAttackTest, BitFlipOnAnyEdgeDetected) {
        target += 3) {
     net::BitFlipAdversary adv(target, /*bit_index=*/100);
     fx.network.SetAdversary(&adv);
-    auto report = fx.network.RunEpoch(fx.protocol, 50 + target);
+    auto report = fx.network.RunEpoch(*fx.protocol, 50 + target);
     if (!report.ok()) continue;  // non-residue PSR rejected: also detected
     if (adv.tampered_count() == 0) continue;
     EXPECT_FALSE(report.value().outcome.verified)
@@ -70,9 +80,9 @@ TEST(SiesAttackTest, ReplayAttackDetected) {
   SiesFixture fx;
   net::ReplayAdversary adv(/*capture_epoch=*/1);
   fx.network.SetAdversary(&adv);
-  auto captured = fx.network.RunEpoch(fx.protocol, 1).value();
+  auto captured = fx.network.RunEpoch(*fx.protocol, 1).value();
   EXPECT_TRUE(captured.outcome.verified);
-  auto replayed = fx.network.RunEpoch(fx.protocol, 2).value();
+  auto replayed = fx.network.RunEpoch(*fx.protocol, 2).value();
   EXPECT_GT(adv.replayed_count(), 0u);
   EXPECT_FALSE(replayed.outcome.verified) << "replay accepted as fresh";
 }
@@ -88,7 +98,7 @@ TEST(SiesAttackTest, DroppedContributionIsReportedNeverSilent) {
   net::NodeId victim = fx.network.topology().sources()[5];
   net::DropAdversary adv(victim);
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 3).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 3).value();
   EXPECT_EQ(adv.dropped_count(), 1u);
   EXPECT_TRUE(report.outcome.verified);
   EXPECT_LT(report.coverage, 1.0);
@@ -99,7 +109,7 @@ TEST(SiesAttackTest, DroppedContributionIsReportedNeverSilent) {
     EXPECT_NE(node, victim);
     partial += fx.trace.ValueAt(map.IndexOf(node).value(), 3);
   }
-  EXPECT_EQ(report.outcome.value, static_cast<double>(partial));
+  EXPECT_EQ(report.outcome.value, fx.Answer(partial));
 }
 
 TEST(SiesAttackTest, DropPlusBitmapForgeryDetected) {
@@ -120,7 +130,7 @@ TEST(SiesAttackTest, DropPlusBitmapForgeryDetected) {
     return true;
   });
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 3).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 3).value();
   EXPECT_FALSE(report.outcome.verified);
 }
 
@@ -142,7 +152,7 @@ TEST(SiesAttackTest, InjectedContributionDetected) {
     return true;
   });
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 4).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 4).value();
   EXPECT_FALSE(report.outcome.verified);
 }
 
@@ -165,7 +175,7 @@ TEST(SiesAttackTest, ValueShiftAttackDetected) {
     return true;
   });
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 5).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 5).value();
   EXPECT_FALSE(report.outcome.verified);
 }
 
@@ -175,7 +185,7 @@ TEST(SiesAttackTest, ReportedFailureVerifiesWithoutVictim) {
   SiesFixture fx;
   net::NodeId victim = fx.network.topology().sources()[2];
   fx.network.FailSource(victim);
-  auto report = fx.network.RunEpoch(fx.protocol, 6).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 6).value();
   EXPECT_TRUE(report.outcome.verified);
 }
 
@@ -194,7 +204,7 @@ TEST(SiesAttackTest, RandomizedTamperSweep) {
         rng.NextBelow(fx.network.topology().num_nodes()));
     net::BitFlipAdversary adv(target, rng.NextBelow(256));
     fx.network.SetAdversary(&adv);
-    auto report = fx.network.RunEpoch(fx.protocol, 100 + trial);
+    auto report = fx.network.RunEpoch(*fx.protocol, 100 + trial);
     if (!report.ok()) {
       ++attacks;
       ++detected;  // malformed PSR rejected outright
@@ -206,8 +216,7 @@ TEST(SiesAttackTest, RandomizedTamperSweep) {
       ++detected;
     } else if (report.value().coverage == 1.0 &&
                report.value().outcome.value ==
-                   static_cast<double>(
-                       Snapshot(fx.trace, 100 + trial).exact_sum)) {
+                   fx.Answer(Snapshot(fx.trace, 100 + trial).exact_sum)) {
       ++harmless;  // absorbed bitmap bit: result still exact + complete
     }
   }
@@ -232,7 +241,7 @@ TEST(SiesAttackTest, AuditTrailRecordsExactlyTheInjectedTampering) {
         rng.NextBelow(fx.network.topology().num_nodes()));
     net::BitFlipAdversary adv(target, rng.NextBelow(256));
     fx.network.SetAdversary(&adv);
-    (void)fx.network.RunEpoch(fx.protocol, 200 + trial);
+    (void)fx.network.RunEpoch(*fx.protocol, 200 + trial);
     injected += adv.tampered_count();
   }
   fx.network.SetAdversary(nullptr);
@@ -252,7 +261,7 @@ TEST(SiesLossTest, RadioLossYieldsVerifiedPartialsNeverWrongSums) {
   SourceIndexMap map(fx.network.topology());
   int lossy_epochs = 0, clean_epochs = 0;
   for (uint64_t epoch = 1; epoch <= 25; ++epoch) {
-    auto report = fx.network.RunEpoch(fx.protocol, epoch);
+    auto report = fx.network.RunEpoch(*fx.protocol, epoch);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     const auto& r = report.value();
     if (!r.answered) continue;  // the final payload itself was lost
@@ -262,15 +271,15 @@ TEST(SiesLossTest, RadioLossYieldsVerifiedPartialsNeverWrongSums) {
     for (net::NodeId node : r.outcome.contributors) {
       partial += fx.trace.ValueAt(map.IndexOf(node).value(), epoch);
     }
-    EXPECT_EQ(r.outcome.value, static_cast<double>(partial));
+    EXPECT_EQ(r.outcome.value, fx.Answer(partial));
     if (r.coverage < 1.0) {
       ++lossy_epochs;
       EXPECT_LT(r.outcome.value,
-                static_cast<double>(Snapshot(fx.trace, epoch).exact_sum));
+                fx.Answer(Snapshot(fx.trace, epoch).exact_sum));
     } else {
       ++clean_epochs;
       EXPECT_EQ(r.outcome.value,
-                static_cast<double>(Snapshot(fx.trace, epoch).exact_sum));
+                fx.Answer(Snapshot(fx.trace, epoch).exact_sum));
     }
   }
   EXPECT_GT(lossy_epochs, 0) << "loss model produced no lossy epochs";
@@ -294,18 +303,22 @@ TEST(SiesCompromisedSourceTest, OwnReadingLieIsAcceptedAsCorrect) {
   net::NodeId victim_node = topology.sources()[2];
   net::CallbackAdversary adv([&](net::Message& msg) {
     if (msg.from == victim_node) {
-      msg.payload = lying_source.CreateWirePsr(99999, msg.epoch).value();
+      msg.payload =
+          lying_source
+              .CreateWirePsr(99999, core::SaltedEpoch(msg.epoch,
+                                                      fx.query.query_id,
+                                                      core::Channel::kSum))
+              .value();
     }
     return true;
   });
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 9).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 9).value();
   EXPECT_TRUE(report.outcome.verified)
       << "a compromised source's own-value lie is undetectable by design";
   uint64_t honest_sum = Snapshot(fx.trace, 9).exact_sum;
   uint64_t honest_v2 = fx.trace.ValueAt(2, 9);
-  EXPECT_EQ(report.outcome.value,
-            static_cast<double>(honest_sum - honest_v2 + 99999));
+  EXPECT_EQ(report.outcome.value, fx.Answer(honest_sum - honest_v2 + 99999));
 }
 
 // ...but the compromised source must NOT be able to break the rest of
@@ -361,7 +374,7 @@ TEST(SiesCompromisedSourceTest, CannotDoubleCountItself) {
     return true;
   });
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 10).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 10).value();
   EXPECT_FALSE(report.outcome.verified);
 }
 

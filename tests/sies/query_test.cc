@@ -5,6 +5,8 @@
 #include <cmath>
 #include <set>
 
+#include "sies/session.h"
+
 namespace sies::core {
 namespace {
 
@@ -56,6 +58,19 @@ TEST(ChannelCountTest, PerAggregate) {
   EXPECT_EQ(ChannelCount(Aggregate::kAvg), 2u);
   EXPECT_EQ(ChannelCount(Aggregate::kVariance), 3u);
   EXPECT_EQ(ChannelCount(Aggregate::kStddev), 3u);
+}
+
+TEST(ActiveChannelsTest, PerAggregateInWireOrder) {
+  Query q;
+  q.aggregate = Aggregate::kSum;
+  EXPECT_EQ(ActiveChannels(q), (std::vector<Channel>{Channel::kSum}));
+  q.aggregate = Aggregate::kAvg;
+  EXPECT_EQ(ActiveChannels(q),
+            (std::vector<Channel>{Channel::kSum, Channel::kCount}));
+  q.aggregate = Aggregate::kStddev;
+  EXPECT_EQ(ActiveChannels(q),
+            (std::vector<Channel>{Channel::kSum, Channel::kSumSquares,
+                                  Channel::kCount}));
 }
 
 TEST(UsesChannelTest, ChannelSelection) {

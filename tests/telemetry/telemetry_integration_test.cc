@@ -18,7 +18,8 @@
 namespace sies::runner {
 namespace {
 
-// Same shape as the attack_test fixture: a ready-to-run SIES network.
+// Same shape as the attack_test fixture: a ready-to-run SIES network,
+// the K = 1 engine serving SUM(temperature) over the trace.
 struct SiesFixture {
   explicit SiesFixture(uint32_t n = 16, uint32_t fanout = 4,
                        uint64_t seed = 21)
@@ -31,16 +32,19 @@ struct SiesFixture {
           c.seed = seed;
           return workload::TraceGenerator(c);
         }()),
-        protocol(params, keys, network.topology(),
-                 [this](uint32_t index, uint64_t epoch) {
-                   return trace.ValueAt(index, epoch);
-                 }) {}
+        protocol(MakeSingleQueryScheduler(
+                     params, keys, network.topology(),
+                     [this](uint32_t index, uint64_t epoch) {
+                       return trace.ReadingAt(index, epoch);
+                     },
+                     core::Query{})
+                     .value()) {}
 
   net::Network network;
   core::Params params;
   core::QuerierKeys keys;
   workload::TraceGenerator trace;
-  SiesProtocol protocol;
+  std::unique_ptr<engine::EpochScheduler> protocol;
 };
 
 using telemetry::AuditKind;
@@ -61,7 +65,7 @@ TEST(TelemetryIntegrationTest, AuditTrailMatchesInjectedTamperingExactly) {
        target += 3) {
     net::BitFlipAdversary adv(target, /*bit_index=*/100);
     fx.network.SetAdversary(&adv);
-    auto report = fx.network.RunEpoch(fx.protocol, 50 + target);
+    auto report = fx.network.RunEpoch(*fx.protocol, 50 + target);
     injected += adv.tampered_count();
     if (report.ok() && !report.value().outcome.verified) ++failed_epochs;
   }
@@ -94,7 +98,7 @@ TEST(TelemetryIntegrationTest, AdversaryDropsAreAttributedToTheVictim) {
   net::NodeId victim = fx.network.topology().sources()[5];
   net::DropAdversary adv(victim);
   fx.network.SetAdversary(&adv);
-  auto report = fx.network.RunEpoch(fx.protocol, 3).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 3).value();
   fx.network.SetAdversary(nullptr);
 
   // The contributor bitmap turns the drop into a verified partial;
@@ -122,7 +126,7 @@ TEST(TelemetryIntegrationTest, RadioLossEventsMatchTheLossCounter) {
 
   ASSERT_TRUE(fx.network.SetLossRate(0.2, 33).ok());
   for (uint64_t epoch = 1; epoch <= 10; ++epoch) {
-    (void)fx.network.RunEpoch(fx.protocol, epoch);  // loss epochs may error
+    (void)fx.network.RunEpoch(*fx.protocol, epoch);  // loss epochs may error
   }
   EXPECT_GT(fx.network.lost_messages(), 0u);
   EXPECT_EQ(audit.CountOf(AuditKind::kRadioLoss), fx.network.lost_messages());
@@ -139,7 +143,7 @@ TEST(TelemetryIntegrationTest, DisabledAuditRecordsNothingUnderAttack) {
   net::BitFlipAdversary adv(fx.network.topology().sources()[0],
                             /*bit_index=*/100);
   fx.network.SetAdversary(&adv);
-  (void)fx.network.RunEpoch(fx.protocol, 7);
+  (void)fx.network.RunEpoch(*fx.protocol, 7);
   fx.network.SetAdversary(nullptr);
 
   EXPECT_GT(adv.tampered_count(), 0u);
@@ -151,17 +155,19 @@ TEST(TelemetryIntegrationTest, PhaseHistogramsCountEveryPhase) {
   auto& registry = telemetry::MetricsRegistry::Global();
   // The registry is process-global and other tests feed it too, so
   // compare deltas on the stable handles rather than absolute counts.
+  // The network labels phases with the protocol's name: the engine's.
+  const std::string scheme = "SIES_ENGINE";
   telemetry::Histogram* source_h = registry.GetHistogram(
-      "sies_phase_seconds", {{"scheme", "SIES"}, {"phase", "source_init"}});
+      "sies_phase_seconds", {{"scheme", scheme}, {"phase", "source_init"}});
   telemetry::Histogram* merge_h = registry.GetHistogram(
-      "sies_phase_seconds", {{"scheme", "SIES"}, {"phase", "merge"}});
+      "sies_phase_seconds", {{"scheme", scheme}, {"phase", "merge"}});
   telemetry::Histogram* eval_h = registry.GetHistogram(
-      "sies_phase_seconds", {{"scheme", "SIES"}, {"phase", "evaluate"}});
+      "sies_phase_seconds", {{"scheme", scheme}, {"phase", "evaluate"}});
   uint64_t source0 = source_h->TotalCount();
   uint64_t merge0 = merge_h->TotalCount();
   uint64_t eval0 = eval_h->TotalCount();
 
-  auto report = fx.network.RunEpoch(fx.protocol, 1).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 1).value();
   EXPECT_TRUE(report.outcome.verified);
 
   // 16 sources, a 4-ary complete tree (5 aggregators), one evaluation.
@@ -176,7 +182,7 @@ TEST(TelemetryIntegrationTest, TracerCapturesPhaseSpans) {
   tracer.Reset();
   tracer.Enable();
 
-  auto report = fx.network.RunEpoch(fx.protocol, 1).value();
+  auto report = fx.network.RunEpoch(*fx.protocol, 1).value();
   EXPECT_TRUE(report.outcome.verified);
   tracer.Disable();
 
