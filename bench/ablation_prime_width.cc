@@ -4,7 +4,8 @@
 // value + log N pad + 20-byte share) must fit beneath it. This bench
 // sweeps the prime width to show what the design choice costs and buys:
 // the PSR (= per-edge bytes) is exactly the prime width, source cost
-// grows mildly, and widths below the layout are rejected outright.
+// grows mildly, and widths below the layout (or above the 512-bit field
+// cap) are rejected outright.
 #include <cstdio>
 
 #include "common/timer.h"
@@ -24,7 +25,7 @@ int main() {
   for (size_t bits : {192ul, 224ul, 256ul, 320ul, 512ul, 1024ul}) {
     auto params_or = core::MakeParams(kN, kSeed, 4, bits);
     if (!params_or.ok()) {
-      std::printf("%-12zu %10s layout does not fit (%s)\n", bits, "-",
+      std::printf("%-12zu %10s rejected (%s)\n", bits, "-",
                   params_or.status().message().c_str());
       continue;
     }
@@ -80,9 +81,9 @@ int main() {
                 params.PsrBytes(), src_us, agg_us, qry_us);
   }
   std::printf(
-      "\nshape check: widths under 193 bits cannot hold the layout; "
-      "32 bytes (256 bits) is the smallest power-of-two width with "
-      "headroom for N up to 2^63 — the paper's choice. Wider primes only "
-      "add cost.\n");
+      "\nshape check: widths under 193 bits cannot hold the layout and "
+      "widths over 512 bits have no field; 32 bytes (256 bits) is the "
+      "smallest power-of-two width with headroom for N up to 2^63 — the "
+      "paper's choice. Wider primes only add cost.\n");
   return 0;
 }

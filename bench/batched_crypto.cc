@@ -7,8 +7,8 @@
 //                     the 8-lane batch kernel over the same pairs, one
 //                     thread. `speedup` is the acceptance metric: >= 4x
 //                     batched-vs-scalar on AVX2 hardware.
-//   kind=fp256_mul    portable u128 Barrett multiply vs the ADX/BMI2
-//                     recompile, same operands.
+//   kind=fp256_mul    the 256-bit Fp<4> Barrett multiply over
+//                     independent operands.
 //   kind=cold_start   the fig6a querier cold start at N = 10^6 (smoke:
 //                     4096): one full epoch — per-source PSR creation
 //                     into a PsrArena, contiguous aggregation, then a
@@ -25,6 +25,7 @@
 
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "bench_json.h"
@@ -32,7 +33,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "crypto/cpu_features.h"
-#include "crypto/fp256.h"
+#include "crypto/fp.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256x8.h"
 #include "sies/aggregator.h"
@@ -136,67 +137,39 @@ int main(int argc, char** argv) {
     report.AddRow(std::move(row));
   }
 
-  // --- kind=fp256_mul: portable vs ADX Barrett multiply ---------------
+  // --- kind=fp256_mul: the 256-bit Barrett multiply --------------------
   {
     const size_t ops = smoke ? 20'000 : 2'000'000;
     auto params = core::MakeParams(1024, kSeed).value();
-    const crypto::Fp256* fp = params.Fp();
-    if (fp == nullptr) return 1;
-    crypto::Fp256 portable = *fp;
-    portable.SetUseAdxForTest(false);
-    crypto::Fp256 adx = *fp;
-    const bool have_adx = crypto::CpuDetected().adx &&
-                          crypto::CpuDetected().bmi2;
-    if (have_adx) adx.SetUseAdxForTest(true);
+    const auto& fp = std::get<crypto::Fp<4>>(*params.field);
 
     Xoshiro256 rng(kSeed + 1);
     // Independent multiplies (the decrypt/verify shape: distinct
-    // operands each time) so the ADX dual carry chains can overlap; a
-    // serial dependent chain would measure latency only.
+    // operands each time); a serial dependent chain would measure
+    // latency only.
     constexpr size_t kOperands = 1024;
-    std::vector<crypto::U256> xs(kOperands);
-    for (crypto::U256& v : xs) {
+    std::vector<crypto::UInt<4>> xs(kOperands);
+    for (crypto::UInt<4>& v : xs) {
       for (uint64_t& limb : v.v) limb = rng.Next();
-      v = fp->Reduce(v);
+      v = fp.Reduce(v);
     }
-    crypto::U256 y;
+    crypto::UInt<4> y;
     for (uint64_t& limb : y.v) limb = rng.Next();
-    y = fp->Reduce(y);
+    y = fp.Reduce(y);
 
-    uint64_t sink = 0;
-    auto time_mul = [&](const crypto::Fp256& ctx) {
-      uint64_t low = 0;
-      watch.Restart();
-      for (size_t i = 0; i < ops; ++i) {
-        low += ctx.Mul(xs[i % kOperands], y).Low64();
-      }
-      double ms = watch.ElapsedMillis();
-      sink = low;  // keep the products observable
-      return ms;
-    };
-    double portable_ms = time_mul(portable);
-    uint64_t portable_sink = sink;
-    double adx_ms = have_adx ? time_mul(adx) : 0;
-    if (have_adx && sink != portable_sink) {
-      std::fprintf(stderr, "adx products diverged!\n");
-      return 1;
+    uint64_t low = 0;
+    watch.Restart();
+    for (size_t i = 0; i < ops; ++i) {
+      low += fp.Mul(xs[i % kOperands], y).Low64();
     }
-    double speedup = (have_adx && adx_ms > 0) ? portable_ms / adx_ms : 1.0;
-    if (have_adx) {
-      std::printf("fp256_mul   %zu muls: portable %.2f ms, adx %.2f ms "
-                  "(%.2fx)\n",
-                  ops, portable_ms, adx_ms, speedup);
-    } else {
-      std::printf("fp256_mul   %zu muls: portable %.2f ms, adx n/a\n", ops,
-                  portable_ms);
-    }
+    const double portable_ms = watch.ElapsedMillis();
+    // Keep the products observable.
+    std::printf("fp256_mul   %zu muls: %.2f ms (checksum %llx)\n", ops,
+                portable_ms, static_cast<unsigned long long>(low));
     bench::JsonObject row;
     row.Add("kind", "fp256_mul");
     row.Add("ops", static_cast<uint64_t>(ops));
     row.Add("portable_ms", portable_ms);
-    row.Add("adx_available", have_adx);
-    row.Add("adx_ms", adx_ms);
-    row.Add("speedup", speedup);
     report.AddRow(std::move(row));
   }
 

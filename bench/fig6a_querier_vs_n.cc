@@ -129,8 +129,10 @@ int main(int argc, char** argv) {
     // round are adjacent in time and see the same perturbation — a
     // mean-of-3 of either series alone swings by tens of percent on a
     // busy host, which would make the wire-overhead figure meaningless.
-    const int warm_rounds = smoke ? 1 : 24;
-    const int warm_reps = smoke ? 2 : 10;
+    // The smoke grid runs enough rounds for the wire guard below to be a
+    // stable verdict even there (a round at N <= 256 costs microseconds).
+    const int warm_rounds = smoke ? 11 : 24;
+    const int warm_reps = smoke ? 50 : 10;
     struct PairedTiming {
       double min_a = 0;
       double min_b = 0;
@@ -264,16 +266,23 @@ int main(int argc, char** argv) {
     }
     double secoa_ms = watch.ElapsedMillis();
 
-    std::printf("%-8u %11.3f ms %11.3f ms %11.3f ms %11.3f ms %11.1f ms\n",
+    // The documented bound (DESIGN.md §9): carrying the contributor
+    // bitmap in-band costs the warm evaluation < 2% at every N, from the
+    // median of paired per-round ratios.
+    const double wire_overhead_pct = 100.0 * (warm_timing.median_ratio - 1.0);
+    const bool wire_guard_met = wire_overhead_pct < 2.0;
+    std::printf("%-8u %11.3f ms %11.3f ms %11.3f ms %11.3f ms %11.1f ms"
+                "   wire +%.2f%% (%s)\n",
                 n, sies_cold_ms, sies_warm_ms, sies_wire_ms, cmt_ms,
-                secoa_ms);
+                secoa_ms, wire_overhead_pct,
+                wire_guard_met ? "OK" : "EXCEEDED");
     bench::JsonObject row;
     row.Add("n", n);
     row.Add("sies_cold_ms", sies_cold_ms);
     row.Add("sies_warm_ms", sies_warm_ms);
     row.Add("sies_wire_warm_ms", sies_wire_ms);
-    row.Add("sies_wire_overhead_pct",
-            100.0 * (warm_timing.median_ratio - 1.0));
+    row.Add("sies_wire_overhead_pct", wire_overhead_pct);
+    row.Add("wire_guard_met", wire_guard_met);
     row.Add("cmt_ms", cmt_ms);
     row.Add("secoa_ms", secoa_ms);
     row.Add("reps", reps);

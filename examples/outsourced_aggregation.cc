@@ -83,7 +83,12 @@ int main() {
         crypto::BigUint(kN * 250ull), p.ValueShiftBits());
     c = crypto::BigUint::ModAdd(
             c, crypto::BigUint::ModMul(
-                   core::DeriveEpochGlobalKey(p, Bytes(20, 0), msg.epoch),
+                   p.WithField([&](const auto& fp) {
+                     // The provider's guess at K_t, from a key it made up.
+                     return core::DeriveEpochGlobalKey(fp, Bytes(20, 0),
+                                                       msg.epoch)
+                         .ToBigUint();
+                   }),
                    forged, p.prime)
                    .value(),
             p.prime)

@@ -87,11 +87,16 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 
   // Single-PSR surface + the false-acceptance oracle.
   if (wire.size() == fixture.params16.PsrBytes()) {
-    auto psr = ParsePsr(fixture.params16, wire);
-    if (psr.ok()) {
-      auto bytes = SerializePsr(fixture.params16, psr.value());
-      SIES_FUZZ_ASSERT(bytes.ok() && bytes.value() == wire,
+    const bool parsed = fixture.params16.WithField([&](const auto& fp) {
+      auto psr = ParsePsr(fp, wire.data(), wire.size());
+      if (!psr.ok()) return false;
+      Bytes bytes(wire.size());
+      SerializePsr(fp, psr.value(), bytes.data());
+      SIES_FUZZ_ASSERT(bytes == wire,
                        "PSR does not reserialize bit-identically");
+      return true;
+    });
+    if (parsed) {
       auto eval = fixture.querier.Evaluate(wire, /*epoch=*/1);
       SIES_FUZZ_ASSERT(!eval.ok() || !eval.value().verified,
                        "querier verified a fuzzed PSR");

@@ -662,6 +662,8 @@ if [[ $TSAN_ONLY -eq 1 ]]; then
       engine_query_registry_test engine_differential_test \
       engine_epoch_scheduler_test engine_query_spec_test \
       engine_pipeline_test \
+      predicate_dyadic_test predicate_compiler_test predicate_answer_test \
+      engine_predicate_differential_test engine_predicate_cache_test \
       ops_http_server_test ops_admin_server_test ops_integration_test \
       transport_test transport_differential_test \
       fuzz_wire_envelope_replay fuzz_datagram_replay fuzz_query_spec_replay \

@@ -1,11 +1,11 @@
 // Runtime CPU feature detection for the accelerated crypto kernels.
 //
-// Two kernels dispatch on this module: the 8-lane AVX2 SHA-256
-// multi-buffer kernel (crypto/sha256x8.*) and the ADX/BMI2-compiled
-// Fp256 mul/reduce path (crypto/fp256.*). Both are bit-identical to
-// their portable fallbacks — dispatch only ever changes speed, never
-// output — so the choice is made once per process from CPUID and the
-// SIES_NATIVE environment override (policy: docs/PERFORMANCE.md).
+// One kernel dispatches on this module: the 8-lane AVX2 SHA-256
+// multi-buffer kernel (crypto/sha256x8.*). It is bit-identical to its
+// portable fallback — dispatch only ever changes speed, never output —
+// so the choice is made once per process from CPUID and the SIES_NATIVE
+// environment override (policy: docs/PERFORMANCE.md). The BMI2/ADX bits
+// are detected for the benchmark host records only.
 //
 //   SIES_NATIVE unset / "auto" / "1"   use every feature CPUID reports
 //   SIES_NATIVE "0" / "off" / "scalar" force the portable fallbacks
@@ -22,8 +22,8 @@ namespace sies::crypto {
 /// is true only when the CPU supports it AND SIES_NATIVE allows it.
 struct CpuFeatures {
   bool avx2 = false;  ///< 8-lane SHA-256 multi-buffer kernel
-  bool bmi2 = false;  ///< MULX (flag-free widening multiply)
-  bool adx = false;   ///< ADCX/ADOX (dual carry chains)
+  bool bmi2 = false;  ///< MULX (flag-free widening multiply); host record
+  bool adx = false;   ///< ADCX/ADOX (dual carry chains); host record
 };
 
 /// Detected once on first call (thread-safe); identical for the whole

@@ -1,80 +1,55 @@
 #include "sies/aggregator.h"
 
-#include <cstring>
+#include <utility>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
 
 namespace sies::core {
 
-StatusOr<Bytes> Aggregator::Merge(const std::vector<Bytes>& child_psrs) const {
-  if (child_psrs.empty()) {
-    return Status::InvalidArgument("nothing to merge");
-  }
-  static telemetry::Counter* merges =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "sies_aggregator_merge_total", {{"scheme", "SIES"}});
-  merges->Increment();
-  telemetry::ScopedSpan span("merge-add", "aggregator", /*epoch=*/0);
-  if (const crypto::Fp256* fp = params_.Fp()) {
-    auto acc = ParsePsrFp(params_, *fp, child_psrs[0]);
-    if (!acc.ok()) return acc.status();
-    crypto::U256 sum = acc.value();
-    for (size_t i = 1; i < child_psrs.size(); ++i) {
-      auto next = ParsePsrFp(params_, *fp, child_psrs[i]);
-      if (!next.ok()) return next.status();
-      sum = fp->Add(sum, next.value());
-    }
-    return sum.ToBytes32();
-  }
-  auto acc = ParsePsr(params_, child_psrs[0]);
-  if (!acc.ok()) return acc.status();
-  crypto::BigUint sum = std::move(acc).value();
-  for (size_t i = 1; i < child_psrs.size(); ++i) {
-    auto next = ParsePsr(params_, child_psrs[i]);
-    if (!next.ok()) return next.status();
-    auto merged = crypto::BigUint::ModAdd(sum, next.value(), params_.prime);
-    if (!merged.ok()) return merged.status();
-    sum = std::move(merged).value();
-  }
-  return SerializePsr(params_, sum);
-}
-
-Status Aggregator::MergeContiguous(const uint8_t* psrs, size_t count,
-                                   uint8_t* out) const {
+template <typename PsrAt>
+Status Aggregator::Sum(size_t count, PsrAt psr_at, uint8_t* out) const {
   if (count == 0) return Status::InvalidArgument("nothing to merge");
   static telemetry::Counter* merges =
       telemetry::MetricsRegistry::Global().GetCounter(
           "sies_aggregator_merge_total", {{"scheme", "SIES"}});
   merges->Increment();
   telemetry::ScopedSpan span("merge-add", "aggregator", /*epoch=*/0);
-  const size_t width = params_.PsrBytes();
-  if (const crypto::Fp256* fp = params_.Fp()) {
-    auto acc = ParsePsrFp(params_, *fp, psrs, width);
+  return params_.WithField([&](const auto& fp) -> Status {
+    auto parse = [&](size_t i) {
+      const auto [data, size] = psr_at(i);
+      return ParsePsr(fp, data, size);
+    };
+    auto acc = parse(0);
     if (!acc.ok()) return acc.status();
-    crypto::U256 sum = acc.value();
+    auto sum = acc.value();
     for (size_t i = 1; i < count; ++i) {
-      auto next = ParsePsrFp(params_, *fp, psrs + i * width, width);
+      auto next = parse(i);
       if (!next.ok()) return next.status();
-      sum = fp->Add(sum, next.value());
+      sum = fp.Add(sum, next.value());
     }
-    sum.ToBytesBE(out);  // width == 32 whenever Fp() is non-null
+    SerializePsr(fp, sum, out);
     return Status::OK();
-  }
-  auto acc = ParsePsr(params_, psrs, width);
-  if (!acc.ok()) return acc.status();
-  crypto::BigUint sum = std::move(acc).value();
-  for (size_t i = 1; i < count; ++i) {
-    auto next = ParsePsr(params_, psrs + i * width, width);
-    if (!next.ok()) return next.status();
-    auto merged = crypto::BigUint::ModAdd(sum, next.value(), params_.prime);
-    if (!merged.ok()) return merged.status();
-    sum = std::move(merged).value();
-  }
-  auto serialized = SerializePsr(params_, sum);
-  if (!serialized.ok()) return serialized.status();
-  std::memcpy(out, serialized.value().data(), serialized.value().size());
-  return Status::OK();
+  });
+}
+
+StatusOr<Bytes> Aggregator::Merge(const std::vector<Bytes>& child_psrs) const {
+  Bytes out(params_.PsrBytes());
+  SIES_RETURN_IF_ERROR(Sum(
+      child_psrs.size(),
+      [&](size_t i) {
+        return std::pair(child_psrs[i].data(), child_psrs[i].size());
+      },
+      out.data()));
+  return out;
+}
+
+Status Aggregator::MergeContiguous(const uint8_t* psrs, size_t count,
+                                   uint8_t* out) const {
+  const size_t width = params_.PsrBytes();
+  return Sum(
+      count, [&](size_t i) { return std::pair(psrs + i * width, width); },
+      out);
 }
 
 StatusOr<Bytes> Aggregator::MergeWire(

@@ -16,9 +16,7 @@ namespace sies::core {
 /// An aggregator A_j. Stateless apart from the public parameters.
 class Aggregator {
  public:
-  explicit Aggregator(Params params) : params_(std::move(params)) {
-    params_.Fp();  // warm the fixed-width context before any sharing
-  }
+  explicit Aggregator(Params params) : params_(std::move(params)) {}
 
   /// Merging phase: PSR' = Σ PSR_c mod p over the children's PSRs.
   /// Cost profile (paper Eq. 6): (F-1) 32-byte modular additions.
@@ -26,10 +24,9 @@ class Aggregator {
 
   /// Merge over `count` PSRs stored back to back at `psrs` (PSR i at
   /// `psrs + i * PsrBytes()`), writing the merged PSR to `out` (also
-  /// PsrBytes() wide). Allocation-free on the fixed-width fast path —
-  /// the form the epoch hot loop uses with a core::PsrArena, where the
-  /// vector-of-Bytes overload would cost one heap slice per source.
-  /// Identical bytes to Merge.
+  /// PsrBytes() wide). Allocation-free — the form the epoch hot loop
+  /// uses with a core::PsrArena, where the vector-of-Bytes overload
+  /// would cost one heap slice per source. Identical bytes to Merge.
   Status MergeContiguous(const uint8_t* psrs, size_t count,
                          uint8_t* out) const;
 
@@ -41,6 +38,11 @@ class Aggregator {
   const Params& params() const { return params_; }
 
  private:
+  /// Σ PSR_i mod p over `count` PSRs, `psr_at(i)` giving PSR i as a
+  /// (data, size) pair; writes the PsrBytes()-wide sum to `out`.
+  template <typename PsrAt>
+  Status Sum(size_t count, PsrAt psr_at, uint8_t* out) const;
+
   Params params_;
 };
 

@@ -27,24 +27,21 @@ telemetry::Counter* EvictionCounter() {
 EpochKeyCache::EpochKeyCache(size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-template <typename Entry>
-std::shared_ptr<const Entry> EpochKeyCache::Find(const Table<Entry>& table,
-                                                 uint64_t epoch) {
-  for (const auto& [e, entry] : table) {
-    if (e == epoch) return entry;
+std::shared_ptr<const void> EpochKeyCache::Find(const Table& table,
+                                                uint64_t epoch, size_t limbs) {
+  for (const Slot& slot : table) {
+    if (slot.epoch == epoch && slot.limbs == limbs) return slot.entry;
   }
   return nullptr;
 }
 
-template <typename Entry>
-void EpochKeyCache::Insert(Table<Entry>& table, uint64_t epoch,
-                           std::shared_ptr<const Entry> entry) {
+void EpochKeyCache::Insert(Table& table, Slot slot) {
   // Salted keys carry the real epoch in their high 48 bits (SaltedEpoch
   // layout); the newest real epoch seen defines the live window.
-  const uint64_t real = epoch >> 16;
+  const uint64_t real = slot.epoch >> 16;
   if (real > newest_real_epoch_) newest_real_epoch_ = real;
   while (table.size() >= capacity_) {
-    const uint64_t dropped = table.front().first >> 16;
+    const uint64_t dropped = table.front().epoch >> 16;
     table.pop_front();
     // Dropping an entry at least two real epochs old is *retirement* —
     // epochs advance monotonically, so it would never have been read
@@ -59,7 +56,7 @@ void EpochKeyCache::Insert(Table<Entry>& table, uint64_t epoch,
       EvictionCounter()->Increment();
     }
   }
-  table.emplace_back(epoch, std::move(entry));
+  table.push_back(std::move(slot));
 }
 
 void EpochKeyCache::Reserve(size_t capacity) {
@@ -72,52 +69,50 @@ size_t EpochKeyCache::capacity() const {
   return capacity_;
 }
 
-std::shared_ptr<const EpochKeyCache::GlobalEntry> EpochKeyCache::Global(
-    const Params& params, const Bytes& global_key, uint64_t epoch) {
+template <size_t L>
+std::shared_ptr<const EpochKeyCache::GlobalEntry<L>> EpochKeyCache::Global(
+    const crypto::Fp<L>& fp, const Bytes& global_key, uint64_t epoch) {
   static telemetry::Counter* hits = CacheCounter("global", "hit");
   static telemetry::Counter* misses = CacheCounter("global", "miss");
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (auto hit = Find(global_, epoch)) {
+    if (auto hit = Find(global_, epoch, L)) {
       hits->Increment();
       global_hits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
+      return std::static_pointer_cast<const GlobalEntry<L>>(hit);
     }
   }
   misses->Increment();
   global_misses_.fetch_add(1, std::memory_order_relaxed);
   telemetry::ScopedSpan span("key-derivation", "cache", epoch);
 
-  auto entry = std::make_shared<GlobalEntry>();
-  entry->key = DeriveEpochGlobalKey(params, global_key, epoch);
+  auto entry = std::make_shared<GlobalEntry<L>>();
+  entry->key = DeriveEpochGlobalKey(fp, global_key, epoch);
   // K_t is in [1, p) and p is prime, so the inverse always exists.
-  entry->key_inv =
-      crypto::BigUint::ModInverse(entry->key, params.prime).value();
-  if (params.Fp() != nullptr) {
-    entry->fast = true;
-    entry->key_fp = crypto::U256::FromBigUint(entry->key).value();
-    entry->key_inv_fp = crypto::U256::FromBigUint(entry->key_inv).value();
-  }
+  entry->key_inv = fp.Inverse(entry->key).value();
 
   std::lock_guard<std::mutex> lock(mu_);
   // A racing thread may have derived the same epoch; keep the first so
   // every caller shares one snapshot.
-  if (auto hit = Find(global_, epoch)) return hit;
-  Insert<GlobalEntry>(global_, epoch, entry);
+  if (auto hit = Find(global_, epoch, L)) {
+    return std::static_pointer_cast<const GlobalEntry<L>>(hit);
+  }
+  Insert(global_, Slot{epoch, L, entry});
   return entry;
 }
 
-std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
-    const Params& params, const std::vector<Bytes>& keys, uint64_t epoch,
-    common::ThreadPool* pool) {
+template <size_t L>
+std::shared_ptr<const EpochKeyCache::SourceEntry<L>> EpochKeyCache::Sources(
+    const crypto::Fp<L>& fp, SharePrf prf, const std::vector<Bytes>& keys,
+    uint64_t epoch, common::ThreadPool* pool) {
   static telemetry::Counter* hits = CacheCounter("sources", "hit");
   static telemetry::Counter* misses = CacheCounter("sources", "miss");
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (auto hit = Find(sources_, epoch)) {
+    if (auto hit = Find(sources_, epoch, L)) {
       hits->Increment();
       source_hits_.fetch_add(1, std::memory_order_relaxed);
-      return hit;
+      return std::static_pointer_cast<const SourceEntry<L>>(hit);
     }
   }
   misses->Increment();
@@ -126,20 +121,10 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
   // "share-recompute" phase in the paper's cost model.
   telemetry::ScopedSpan span("share-recompute", "cache", epoch);
 
-  auto entry = std::make_shared<SourceEntry>();
+  auto entry = std::make_shared<SourceEntry<L>>();
   const size_t n = keys.size();
-  // The fixed-width share derivation exists only for the HM1 profile (the
-  // only one whose layout fits under a 256-bit prime).
-  const crypto::Fp256* fp =
-      params.share_prf == SharePrf::kHmacSha1 ? params.Fp() : nullptr;
-  entry->fast = fp != nullptr;
-  if (fp != nullptr) {
-    entry->keys_fp.resize(n);
-    entry->shares_fp.resize(n);
-  } else {
-    entry->keys.resize(n);
-    entry->shares.resize(n);
-  }
+  entry->keys.resize(n);
+  entry->shares.resize(n);
   // Sources are derived in groups so the 8-lane HMAC kernel always sees
   // full batches, and the pool fans out over *groups* in one flat
   // ParallelFor — never a nested dispatch per index. (When Sources is
@@ -151,23 +136,15 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
   auto derive_group = [&](size_t g) {
     const size_t begin = g * kGroup;
     const size_t count = std::min(kGroup, n - begin);
-    if (fp != nullptr) {
-      DeriveEpochSourceKeysFpBatch(*fp, keys, begin, count, epoch,
-                                   entry->keys_fp.data() + begin);
+    DeriveEpochSourceKeysBatch(fp, keys, begin, count, epoch,
+                               entry->keys.data() + begin);
+    if (prf == SharePrf::kHmacSha256) {
+      DeriveEpochSharesHm256Batch(keys, begin, count, epoch,
+                                  entry->shares.data() + begin);
+    } else {
       // HM1 shares are SHA-1; no batch kernel exists for them.
       for (size_t i = begin; i < begin + count; ++i) {
-        entry->shares_fp[i] = DeriveEpochShareFp(keys[i], epoch);
-      }
-    } else {
-      DeriveEpochSourceKeysBatch(params, keys, begin, count, epoch,
-                                 entry->keys.data() + begin);
-      if (params.share_prf == SharePrf::kHmacSha256) {
-        DeriveEpochSharesHm256Batch(keys, begin, count, epoch,
-                                    entry->shares.data() + begin);
-      } else {
-        for (size_t i = begin; i < begin + count; ++i) {
-          entry->shares[i] = DeriveEpochShare(params, keys[i], epoch);
-        }
+        entry->shares[i] = DeriveEpochShare(fp, prf, keys[i], epoch);
       }
     }
   };
@@ -178,10 +155,22 @@ std::shared_ptr<const EpochKeyCache::SourceEntry> EpochKeyCache::Sources(
   }
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (auto hit = Find(sources_, epoch)) return hit;
-  Insert<SourceEntry>(sources_, epoch, entry);
+  if (auto hit = Find(sources_, epoch, L)) {
+    return std::static_pointer_cast<const SourceEntry<L>>(hit);
+  }
+  Insert(sources_, Slot{epoch, L, entry});
   return entry;
 }
+
+#define SIES_INSTANTIATE_CACHE(L)                                           \
+  template std::shared_ptr<const EpochKeyCache::GlobalEntry<L>>             \
+  EpochKeyCache::Global(const crypto::Fp<L>&, const Bytes&, uint64_t);      \
+  template std::shared_ptr<const EpochKeyCache::SourceEntry<L>>             \
+  EpochKeyCache::Sources(const crypto::Fp<L>&, SharePrf,                    \
+                         const std::vector<Bytes>&, uint64_t,               \
+                         common::ThreadPool*);
+SIES_FOR_EACH_FIELD_LIMBS(SIES_INSTANTIATE_CACHE)
+#undef SIES_INSTANTIATE_CACHE
 
 void EpochKeyCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);

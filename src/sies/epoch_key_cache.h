@@ -25,6 +25,7 @@
 
 #include "common/secure.h"
 #include "common/thread_pool.h"
+#include "crypto/fp.h"
 #include "sies/params.h"
 
 namespace sies::core {
@@ -37,55 +38,48 @@ class EpochKeyCache {
   /// `capacity` bounds the number of retained epochs per table.
   explicit EpochKeyCache(size_t capacity = 32);
 
-  /// Global-key material of one epoch. Zeroized on eviction/destruction:
-  /// an evicted K_t must not linger in freed heap pages.
+  /// Global-key material of one epoch, at the field's limb count L.
+  /// Zeroized on eviction/destruction: an evicted K_t must not linger in
+  /// freed heap pages.
+  template <size_t L>
   struct GlobalEntry {
-    crypto::BigUint key;      ///< K_t in [1, p)
-    crypto::BigUint key_inv;  ///< K_t^{-1} mod p
-    bool fast = false;        ///< fixed-width mirrors below are valid
-    crypto::U256 key_fp;
-    crypto::U256 key_inv_fp;
+    crypto::UInt<L> key;      ///< K_t in [1, p)
+    crypto::UInt<L> key_inv;  ///< K_t^{-1} mod p
 
     ~GlobalEntry() {
-      key.Wipe();
-      key_inv.Wipe();
-      common::SecureZero(&key_fp, sizeof(key_fp));
-      common::SecureZero(&key_inv_fp, sizeof(key_inv_fp));
+      common::SecureZero(&key, sizeof(key));
+      common::SecureZero(&key_inv, sizeof(key_inv));
     }
   };
 
   /// Per-source material of one epoch, index-aligned with the querier's
-  /// source_keys. Either the BigUint vectors or the U256 vectors are
-  /// populated, never both (`fast` says which).
+  /// source_keys: L limbs per value (a 256-bit key is 32 bytes).
+  template <size_t L>
   struct SourceEntry {
-    bool fast = false;
-    std::vector<crypto::BigUint> keys;    ///< k_{i,t}
-    std::vector<crypto::BigUint> shares;  ///< ss_{i,t}
-    std::vector<crypto::U256> keys_fp;
-    std::vector<crypto::U256> shares_fp;
+    std::vector<crypto::UInt<L>> keys;    ///< k_{i,t}
+    std::vector<crypto::UInt<L>> shares;  ///< ss_{i,t}
 
     ~SourceEntry() {
-      for (crypto::BigUint& k : keys) k.Wipe();
-      for (crypto::BigUint& s : shares) s.Wipe();
-      common::SecureZero(keys_fp.data(),
-                         keys_fp.size() * sizeof(crypto::U256));
-      common::SecureZero(shares_fp.data(),
-                         shares_fp.size() * sizeof(crypto::U256));
+      common::SecureZero(keys.data(), keys.size() * sizeof(crypto::UInt<L>));
+      common::SecureZero(shares.data(),
+                         shares.size() * sizeof(crypto::UInt<L>));
     }
   };
 
   /// K_t and K_t^{-1} for `epoch`, derived (and memoized) on first use.
-  std::shared_ptr<const GlobalEntry> Global(const Params& params,
-                                            const Bytes& global_key,
-                                            uint64_t epoch);
+  template <size_t L>
+  std::shared_ptr<const GlobalEntry<L>> Global(const crypto::Fp<L>& fp,
+                                               const Bytes& global_key,
+                                               uint64_t epoch);
 
-  /// All sources' k_{i,t} / ss_{i,t} for `epoch`, derived once. `pool`
-  /// (optional) fans the N derivations out across lanes; the result is
-  /// identical for any thread count since every index writes its own slot.
-  std::shared_ptr<const SourceEntry> Sources(const Params& params,
-                                             const std::vector<Bytes>& keys,
-                                             uint64_t epoch,
-                                             common::ThreadPool* pool);
+  /// All sources' k_{i,t} / ss_{i,t} (shares from `prf`) for `epoch`,
+  /// derived once. `pool` (optional) fans the N derivations out across
+  /// lanes; the result is identical for any thread count since every
+  /// index writes its own slot.
+  template <size_t L>
+  std::shared_ptr<const SourceEntry<L>> Sources(
+      const crypto::Fp<L>& fp, SharePrf prf, const std::vector<Bytes>& keys,
+      uint64_t epoch, common::ThreadPool* pool);
 
   /// Drops every entry (benchmarks use this to measure cold evaluations).
   /// Hit/miss statistics survive — they describe lookups, not contents.
@@ -130,15 +124,18 @@ class EpochKeyCache {
   }
 
  private:
-  template <typename Entry>
-  using Table = std::deque<std::pair<uint64_t, std::shared_ptr<const Entry>>>;
+  /// One cached epoch: its salted key, the limb count of the entry (so a
+  /// lookup never reinterprets another width), and the immutable entry.
+  struct Slot {
+    uint64_t epoch;
+    size_t limbs;
+    std::shared_ptr<const void> entry;
+  };
+  using Table = std::deque<Slot>;
 
-  template <typename Entry>
-  static std::shared_ptr<const Entry> Find(const Table<Entry>& table,
-                                           uint64_t epoch);
-  template <typename Entry>
-  void Insert(Table<Entry>& table, uint64_t epoch,
-              std::shared_ptr<const Entry> entry);
+  static std::shared_ptr<const void> Find(const Table& table, uint64_t epoch,
+                                          size_t limbs);
+  void Insert(Table& table, Slot slot);
 
   size_t capacity_;  // guarded by mu_; grows via Reserve, never shrinks
   /// Newest real epoch (salted key >> 16) ever inserted — the live
@@ -146,8 +143,8 @@ class EpochKeyCache {
   /// Guarded by mu_ (Insert runs under it).
   uint64_t newest_real_epoch_ = 0;
   mutable std::mutex mu_;
-  Table<GlobalEntry> global_;
-  Table<SourceEntry> sources_;
+  Table global_;
+  Table sources_;
   std::atomic<uint64_t> global_hits_{0};
   std::atomic<uint64_t> global_misses_{0};
   std::atomic<uint64_t> source_hits_{0};

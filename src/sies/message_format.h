@@ -16,54 +16,104 @@
 
 namespace sies::core {
 
+// Every step below is one template over the field's limb count L
+// (crypto::Fp<L>, L = 4..8); callers reach it through
+// Params::WithField. The definitions are inline: they run once or more
+// per PSR on every party.
+
 /// Packs a value and a share into the m_{i,t} integer.
 /// Fails if `value` exceeds the value field or `share` the share field.
-StatusOr<crypto::BigUint> PackMessage(const Params& params, uint64_t value,
-                                      const crypto::BigUint& share);
+template <size_t L>
+StatusOr<crypto::UInt<L>> PackMessage(const Params& params, uint64_t value,
+                                      const crypto::UInt<L>& share) {
+  if (params.value_bytes < 8) {
+    uint64_t field_max = (uint64_t{1} << (8 * params.value_bytes)) - 1;
+    if (value > field_max) {
+      return Status::OutOfRange("value exceeds the value field width");
+    }
+  }
+  if (share.BitLength() > 8 * params.share_bytes) {
+    return Status::OutOfRange("share exceeds the share field width");
+  }
+  // Value and share fields are disjoint (Validate guarantees the layout
+  // fits under the prime), so the add cannot carry.
+  crypto::UInt<L> m;
+  crypto::UInt<L>::Add(
+      crypto::UInt<L>::FromUint64(value).Shl(params.ValueShiftBits()), share,
+      &m);
+  return m;
+}
 
 /// Decoded contents of a summed message m_{f,t}.
+template <size_t L>
 struct UnpackedMessage {
-  uint64_t sum = 0;            ///< res_t, the SUM result field
-  crypto::BigUint share_sum;   ///< s_t, the summed-share field (incl. carry)
+  uint64_t sum = 0;           ///< res_t, the SUM result field
+  crypto::UInt<L> share_sum;  ///< s_t, the summed-share field (incl. carry)
 };
 
 /// Splits a (possibly summed) message back into (res_t, s_t).
 /// Fails if the value field overflows its width (Σv too large for the
 /// configured value_bytes).
-StatusOr<UnpackedMessage> UnpackMessage(const Params& params,
-                                        const crypto::BigUint& message);
+template <size_t L>
+StatusOr<UnpackedMessage<L>> UnpackMessage(const Params& params,
+                                           const crypto::UInt<L>& message) {
+  const size_t shift = params.ValueShiftBits();
+  const crypto::UInt<L> value = message.Shr(shift);
+  if (value.BitLength() > 8 * params.value_bytes) {
+    return Status::OutOfRange(
+        "summed value overflows the value field; configure value_bytes=8");
+  }
+  UnpackedMessage<L> out;
+  out.sum = value.Low64();
+  crypto::UInt<L>::Sub(message, value.Shl(shift), &out.share_sum);
+  return out;
+}
 
 /// E(m, K_t, k_{i,t}, p) = K_t · m + k_{i,t} mod p.
-StatusOr<crypto::BigUint> Encrypt(const Params& params,
-                                  const crypto::BigUint& message,
-                                  const crypto::BigUint& epoch_global_key,
-                                  const crypto::BigUint& epoch_source_key);
+template <size_t L>
+StatusOr<crypto::UInt<L>> Encrypt(const crypto::Fp<L>& fp,
+                                  const crypto::UInt<L>& message,
+                                  const crypto::UInt<L>& epoch_global_key,
+                                  const crypto::UInt<L>& epoch_source_key) {
+  if (message.Compare(fp.prime()) >= 0) {
+    return Status::OutOfRange("message must be < p");
+  }
+  return fp.Add(fp.Mul(epoch_global_key, message), epoch_source_key);
+}
 
-/// D(c, K_t, k, p) = (c - k) · K_t^{-1} mod p, where k is the sum of the
-/// epoch source keys of all contributing sources.
-StatusOr<crypto::BigUint> Decrypt(const Params& params,
-                                  const crypto::BigUint& ciphertext,
-                                  const crypto::BigUint& epoch_global_key,
-                                  const crypto::BigUint& key_sum);
+/// D(c, K_t^{-1}, k, p) = (c - k) · K_t^{-1} mod p, where k is the sum of
+/// the epoch source keys of all contributing sources. The querier derives
+/// K_t^{-1} once per epoch (EpochKeyCache), not once per evaluation.
+template <size_t L>
+crypto::UInt<L> Decrypt(const crypto::Fp<L>& fp,
+                        const crypto::UInt<L>& ciphertext,
+                        const crypto::UInt<L>& global_key_inv,
+                        const crypto::UInt<L>& key_sum) {
+  return fp.Mul(fp.Sub(ciphertext, key_sum), global_key_inv);
+}
 
-/// Decrypt with K_t^{-1} already in hand: the querier derives the inverse
-/// once per epoch (EpochKeyCache) instead of paying an extended Euclid on
-/// every channel of every evaluation.
-StatusOr<crypto::BigUint> DecryptWithInverse(
-    const Params& params, const crypto::BigUint& ciphertext,
-    const crypto::BigUint& global_key_inv, const crypto::BigUint& key_sum);
+/// Writes a ciphertext as a fixed-width (fp.bytes() == PsrBytes) big-
+/// endian PSR into `out`.
+template <size_t L>
+void SerializePsr(const crypto::Fp<L>& fp, const crypto::UInt<L>& ciphertext,
+                  uint8_t* out) {
+  ciphertext.ToBytesBE(out, fp.bytes());
+}
 
-/// Serializes a ciphertext as a fixed-width (PsrBytes) big-endian PSR.
-StatusOr<Bytes> SerializePsr(const Params& params,
-                             const crypto::BigUint& ciphertext);
-
-/// Parses a PSR. Fails on wrong width or a value >= p.
-StatusOr<crypto::BigUint> ParsePsr(const Params& params, const Bytes& psr);
-
-/// In-place overload: parses `size` PSR bytes at `data` without copying
-/// (wire envelopes evaluate their body straight out of the payload).
-StatusOr<crypto::BigUint> ParsePsr(const Params& params, const uint8_t* data,
-                                   size_t size);
+/// Parses `size` PSR bytes at `data` in place. Fails on wrong width or a
+/// value >= p.
+template <size_t L>
+StatusOr<crypto::UInt<L>> ParsePsr(const crypto::Fp<L>& fp,
+                                   const uint8_t* data, size_t size) {
+  if (size != fp.bytes()) {
+    return Status::InvalidArgument("PSR has wrong width");
+  }
+  crypto::UInt<L> c = crypto::UInt<L>::FromBytesBE(data, size);
+  if (c.Compare(fp.prime()) >= 0) {
+    return Status::InvalidArgument("PSR is not a residue mod p");
+  }
+  return c;
+}
 
 // --- Loss-reporting wire envelope -----------------------------------------
 //
@@ -114,48 +164,6 @@ size_t WireEnvelopeBytes(const Params& params, size_t channels);
 StatusOr<WirePayload> ParseWireEnvelope(const Params& params,
                                         const Bytes& wire,
                                         size_t expected_channels);
-
-// --- Fixed-width fast path ------------------------------------------------
-//
-// Mirrors of the operations above over crypto::U256, used by every party
-// when params.Fp() is non-null (prime of exactly 256 bits, the reference
-// configuration). Semantics, wire bytes, and error messages are identical
-// to the BigUint path; only the arithmetic substrate changes.
-
-/// Fast-path PackMessage. The share must fit its field (HM1 shares are 20
-/// bytes, so on the fast path this holds by construction).
-StatusOr<crypto::U256> PackMessageFp(const Params& params, uint64_t value,
-                                     const crypto::U256& share);
-
-/// Fast-path UnpackMessage result.
-struct UnpackedMessageFp {
-  uint64_t sum = 0;         ///< res_t
-  crypto::U256 share_sum;   ///< s_t
-};
-
-/// Fast-path UnpackMessage. Fails on value-field overflow like the
-/// generic variant.
-StatusOr<UnpackedMessageFp> UnpackMessageFp(const Params& params,
-                                            const crypto::U256& message);
-
-/// Fast-path Encrypt: E(m) = K_t · m + k_{i,t} mod p.
-StatusOr<crypto::U256> EncryptFp(const crypto::Fp256& fp,
-                                 const crypto::U256& message,
-                                 const crypto::U256& epoch_global_key,
-                                 const crypto::U256& epoch_source_key);
-
-/// Fast-path Decrypt; the caller supplies the cached K_t^{-1}.
-crypto::U256 DecryptFp(const crypto::Fp256& fp, const crypto::U256& ciphertext,
-                       const crypto::U256& global_key_inv,
-                       const crypto::U256& key_sum);
-
-/// Fast-path ParsePsr (width + residue checks, same error messages).
-StatusOr<crypto::U256> ParsePsrFp(const Params& params,
-                                  const crypto::Fp256& fp, const Bytes& psr);
-
-/// In-place overload of the fast-path parse (see ParsePsr above).
-StatusOr<crypto::U256> ParsePsrFp(const Params& params, const crypto::Fp256& fp,
-                                  const uint8_t* data, size_t size);
 
 }  // namespace sies::core
 

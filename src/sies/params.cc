@@ -29,19 +29,12 @@ uint64_t Params::MaxSafeValue() const {
   return field_max / num_sources;
 }
 
-const crypto::Fp256* Params::Fp() const {
-  std::shared_ptr<const FpSlot> slot = fp_slot_;
-  if (slot == nullptr || slot->prime != prime) {
-    auto fresh = std::make_shared<FpSlot>();
-    fresh->prime = prime;
-    if (prime.BitLength() == 256) {
-      auto fp = crypto::Fp256::Create(prime);
-      if (fp.ok()) fresh->fp.emplace(std::move(fp).value());
-    }
-    fp_slot_ = fresh;
-    slot = std::move(fresh);
-  }
-  return slot->fp ? &*slot->fp : nullptr;
+void Params::SetPrime(crypto::BigUint p) {
+  prime = std::move(p);
+  auto built = crypto::MakePrimeField(prime);
+  field = built.ok() ? std::make_shared<const crypto::PrimeField>(
+                           std::move(built).value())
+                     : nullptr;
 }
 
 Status Params::Validate() const {
@@ -58,6 +51,10 @@ Status Params::Validate() const {
         "share_bytes must match the share PRF's digest size");
   }
   if (prime.IsZero()) return Status::InvalidArgument("prime not set");
+  if (prime.BitLength() > crypto::kMaxFieldBits) {
+    return Status::InvalidArgument(
+        "prime wider than 512 bits is not supported");
+  }
   // The whole sum (value field + pad + share field) must stay below p:
   // Σm_i < 2^(value_bits + pad + share_bits) requires at least one extra
   // bit of headroom under p.
@@ -69,6 +66,15 @@ Status Params::Validate() const {
   }
   if ((uint64_t{1} << pad_bits) < num_sources) {
     return Status::InvalidArgument("pad_bits too small for num_sources");
+  }
+  const bool field_matches =
+      field != nullptr && WithField([&](const auto& fp) {
+        auto p = std::decay_t<decltype(fp.prime())>::FromBigUint(prime);
+        return p.ok() && p.value() == fp.prime();
+      });
+  if (!field_matches) {
+    return Status::InvalidArgument(
+        "field context not built for this prime (set it with SetPrime)");
   }
   return Status::OK();
 }
@@ -83,7 +89,7 @@ StatusOr<Params> MakeParams(uint32_t num_sources, uint64_t seed,
   params.share_bytes = share_prf == SharePrf::kHmacSha1 ? 20 : 32;
   params.pad_bits = PadBitsFor(num_sources);
   Xoshiro256 rng(seed);
-  params.prime = crypto::GeneratePrime(prime_bits, rng);
+  params.SetPrime(crypto::GeneratePrime(prime_bits, rng));
   SIES_RETURN_IF_ERROR(params.Validate());
   return params;
 }
@@ -107,73 +113,49 @@ StatusOr<SourceKeys> KeysForSource(const QuerierKeys& keys, uint32_t index) {
   return SourceKeys{keys.global_key, keys.source_keys[index]};
 }
 
-crypto::BigUint DeriveEpochGlobalKey(const Params& params,
-                                     const Bytes& global_key,
-                                     uint64_t epoch) {
+template <size_t L>
+crypto::UInt<L> DeriveEpochGlobalKey(const crypto::Fp<L>& fp,
+                                     const Bytes& global_key, uint64_t epoch) {
   Bytes prf = crypto::EpochPrfSha256(global_key, epoch);
-  crypto::BigUint raw = crypto::BigUint::FromBytes(prf);
+  crypto::UInt<L> k =
+      fp.Reduce(crypto::UInt<L>::FromBytesBE(prf.data(), prf.size()));
   SecureWipe(prf);
-  crypto::BigUint k = crypto::BigUint::Mod(raw, params.prime).value();
-  raw.Wipe();
-  if (k.IsZero()) k = crypto::BigUint(1);  // K_t must be invertible
+  if (k.IsZero()) k = crypto::UInt<L>::FromUint64(1);  // K_t invertible
   return k;
 }
 
-crypto::BigUint DeriveEpochSourceKey(const Params& params,
-                                     const Bytes& source_key,
-                                     uint64_t epoch) {
+template <size_t L>
+crypto::UInt<L> DeriveEpochSourceKey(const crypto::Fp<L>& fp,
+                                     const Bytes& source_key, uint64_t epoch) {
   Bytes prf = crypto::EpochPrfSha256(source_key, epoch);
-  crypto::BigUint raw = crypto::BigUint::FromBytes(prf);
+  crypto::UInt<L> k =
+      fp.Reduce(crypto::UInt<L>::FromBytesBE(prf.data(), prf.size()));
   SecureWipe(prf);
-  crypto::BigUint k = crypto::BigUint::Mod(raw, params.prime).value();
-  raw.Wipe();
   return k;
 }
 
-crypto::BigUint DeriveEpochShare(const Params& params,
-                                 const Bytes& source_key, uint64_t epoch) {
-  if (params.share_prf == SharePrf::kHmacSha1) {
-    return DeriveEpochShare(source_key, epoch);
-  }
-  // Domain separation from DeriveEpochSourceKey (plain HM256(k_i, t)).
+namespace {
+
+/// The HM256 share input "share" || t, shared by the scalar and batch
+/// derivations (domain separation from k_{i,t} = HM256(k_i, t)).
+Bytes Hm256ShareInput(uint64_t epoch) {
   Bytes input = {'s', 'h', 'a', 'r', 'e'};
   Bytes e = EncodeUint64(epoch);
   input.insert(input.end(), e.begin(), e.end());
-  Bytes prf = crypto::HmacSha256(source_key, input);
-  crypto::BigUint share = crypto::BigUint::FromBytes(prf);
-  SecureWipe(prf);
-  return share;
+  return input;
 }
 
-crypto::BigUint DeriveEpochShare(const Bytes& source_key, uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha1(source_key, epoch);
-  crypto::BigUint share = crypto::BigUint::FromBytes(prf);
-  SecureWipe(prf);
-  return share;
-}
+}  // namespace
 
-crypto::U256 DeriveEpochGlobalKeyFp(const crypto::Fp256& fp,
-                                    const Bytes& global_key, uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha256(global_key, epoch);
-  crypto::U256 k =
-      fp.Reduce(crypto::U256::FromBytesBE(prf.data(), prf.size()));
-  SecureWipe(prf);
-  if (k.IsZero()) k = crypto::U256::FromUint64(1);  // K_t must be invertible
-  return k;
-}
-
-crypto::U256 DeriveEpochSourceKeyFp(const crypto::Fp256& fp,
-                                    const Bytes& source_key, uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha256(source_key, epoch);
-  crypto::U256 k = fp.Reduce(crypto::U256::FromBytesBE(prf.data(), prf.size()));
-  SecureWipe(prf);
-  return k;
-}
-
-crypto::U256 DeriveEpochShareFp(const Bytes& source_key, uint64_t epoch) {
-  Bytes prf = crypto::EpochPrfSha1(source_key, epoch);
-  crypto::U256 share = crypto::U256::FromBytesBE(prf.data(), prf.size());
-  SecureWipe(prf);
+template <size_t L>
+crypto::UInt<L> DeriveEpochShare(const crypto::Fp<L>& /*fp*/, SharePrf prf,
+                                 const Bytes& source_key, uint64_t epoch) {
+  Bytes digest = prf == SharePrf::kHmacSha1
+                     ? crypto::EpochPrfSha1(source_key, epoch)
+                     : crypto::HmacSha256(source_key, Hm256ShareInput(epoch));
+  crypto::UInt<L> share =
+      crypto::UInt<L>::FromBytesBE(digest.data(), digest.size());
+  SecureWipe(digest);
   return share;
 }
 
@@ -187,10 +169,11 @@ constexpr size_t kDeriveChunk = 64;
 
 }  // namespace
 
-void DeriveEpochSourceKeysFpBatch(const crypto::Fp256& fp,
-                                  const std::vector<Bytes>& source_keys,
-                                  size_t begin, size_t count, uint64_t epoch,
-                                  crypto::U256* out) {
+template <size_t L>
+void DeriveEpochSourceKeysBatch(const crypto::Fp<L>& fp,
+                                const std::vector<Bytes>& source_keys,
+                                size_t begin, size_t count, uint64_t epoch,
+                                crypto::UInt<L>* out) {
   crypto::ByteView views[kDeriveChunk];
   uint8_t digests[kDeriveChunk * 32];
   for (size_t off = 0; off < count; off += kDeriveChunk) {
@@ -201,43 +184,18 @@ void DeriveEpochSourceKeysFpBatch(const crypto::Fp256& fp,
     crypto::EpochPrfSha256Batch(take, views, epoch, digests);
     for (size_t j = 0; j < take; ++j) {
       out[off + j] =
-          fp.Reduce(crypto::U256::FromBytesBE(digests + 32 * j, 32));
+          fp.Reduce(crypto::UInt<L>::FromBytesBE(digests + 32 * j, 32));
     }
   }
   common::SecureZero(digests, sizeof(digests));
 }
 
-void DeriveEpochSourceKeysBatch(const Params& params,
-                                const std::vector<Bytes>& source_keys,
-                                size_t begin, size_t count, uint64_t epoch,
-                                crypto::BigUint* out) {
-  crypto::ByteView views[kDeriveChunk];
-  uint8_t digests[kDeriveChunk * 32];
-  for (size_t off = 0; off < count; off += kDeriveChunk) {
-    const size_t take = std::min(kDeriveChunk, count - off);
-    for (size_t j = 0; j < take; ++j) {
-      views[j] = crypto::ByteView(source_keys[begin + off + j]);
-    }
-    crypto::EpochPrfSha256Batch(take, views, epoch, digests);
-    for (size_t j = 0; j < take; ++j) {
-      crypto::BigUint raw = crypto::BigUint::FromBytes(digests + 32 * j, 32);
-      out[off + j] = crypto::BigUint::Mod(raw, params.prime).value();
-      raw.Wipe();
-    }
-  }
-  common::SecureZero(digests, sizeof(digests));
-}
-
+template <size_t L>
 void DeriveEpochSharesHm256Batch(const std::vector<Bytes>& source_keys,
                                  size_t begin, size_t count, uint64_t epoch,
-                                 crypto::BigUint* out) {
-  // Same domain-separated input as DeriveEpochShare's HM256 branch:
-  // "share" || t, identical for every source in the batch.
-  Bytes input = {'s', 'h', 'a', 'r', 'e'};
-  Bytes e = EncodeUint64(epoch);
-  input.insert(input.end(), e.begin(), e.end());
+                                 crypto::UInt<L>* out) {
+  const Bytes input = Hm256ShareInput(epoch);
   const crypto::ByteView msg(input);
-
   crypto::ByteView keys[kDeriveChunk];
   crypto::ByteView msgs[kDeriveChunk];
   for (size_t j = 0; j < kDeriveChunk; ++j) msgs[j] = msg;
@@ -249,10 +207,25 @@ void DeriveEpochSharesHm256Batch(const std::vector<Bytes>& source_keys,
     }
     crypto::HmacSha256Batch(take, keys, msgs, digests);
     for (size_t j = 0; j < take; ++j) {
-      out[off + j] = crypto::BigUint::FromBytes(digests + 32 * j, 32);
+      out[off + j] = crypto::UInt<L>::FromBytesBE(digests + 32 * j, 32);
     }
   }
   common::SecureZero(digests, sizeof(digests));
 }
+
+#define SIES_INSTANTIATE_DERIVATIONS(L)                                     \
+  template crypto::UInt<L> DeriveEpochGlobalKey(const crypto::Fp<L>&,      \
+                                                const Bytes&, uint64_t);    \
+  template crypto::UInt<L> DeriveEpochSourceKey(const crypto::Fp<L>&,      \
+                                                const Bytes&, uint64_t);    \
+  template crypto::UInt<L> DeriveEpochShare(const crypto::Fp<L>&, SharePrf, \
+                                            const Bytes&, uint64_t);        \
+  template void DeriveEpochSourceKeysBatch(                                 \
+      const crypto::Fp<L>&, const std::vector<Bytes>&, size_t, size_t,      \
+      uint64_t, crypto::UInt<L>*);                                          \
+  template void DeriveEpochSharesHm256Batch(                                \
+      const std::vector<Bytes>&, size_t, size_t, uint64_t, crypto::UInt<L>*);
+SIES_FOR_EACH_FIELD_LIMBS(SIES_INSTANTIATE_DERIVATIONS)
+#undef SIES_INSTANTIATE_DERIVATIONS
 
 }  // namespace sies::core

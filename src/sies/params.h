@@ -9,13 +9,14 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
 #include "crypto/biguint.h"
-#include "crypto/fp256.h"
+#include "crypto/fp.h"
 
 namespace sies::core {
 
@@ -25,7 +26,9 @@ enum class SharePrf {
   kHmacSha1,
   /// HMAC-SHA256, 32-byte shares — a hardened profile for deployments
   /// that exclude SHA-1 entirely; requires a prime of >= 328 bits
-  /// (pass prime_bits >= 352 to MakeParams).
+  /// (pass prime_bits >= 352 to MakeParams). Runs on the same fixed-width
+  /// arithmetic as HM1, at the wider prime's limb count (Fp<6> at 352 or
+  /// 384 bits).
   kHmacSha256,
 };
 
@@ -44,7 +47,12 @@ struct Params {
   /// carry from summing N shares (paper Figure 2).
   size_t pad_bits = 0;
   /// The public prime modulus p (32 bytes in the reference configuration).
+  /// Set it with SetPrime, which also builds `field`.
   crypto::BigUint prime;
+  /// The Fp<L> context of `prime` (L = LimbsForBits of its width), built
+  /// once by SetPrime; copies of a Params share it, so every party holds
+  /// it from construction.
+  std::shared_ptr<const crypto::PrimeField> field;
 
   /// Ciphertext/PSR width in bytes (the width of p).
   size_t PsrBytes() const { return (prime.BitLength() + 7) / 8; }
@@ -54,24 +62,21 @@ struct Params {
   /// if every source reports it.
   uint64_t MaxSafeValue() const;
 
-  /// Checks internal consistency (field layout fits under p, etc.).
+  /// Sets `prime` and builds its field context. A prime outside the
+  /// 193..512-bit field range leaves `field` empty; Validate reports why.
+  void SetPrime(crypto::BigUint p);
+
+  /// Checks internal consistency (field layout fits under p, p at most
+  /// 512 bits, `field` built for `prime`, etc.).
   Status Validate() const;
 
-  /// Fixed-width fast-path context for `prime`, or nullptr when the prime
-  /// is not exactly 256 bits (then all parties stay on the generic BigUint
-  /// path; see DESIGN.md "Two-tier arithmetic"). The context (Barrett
-  /// constant) is computed on first call and cached; copies of a Params
-  /// share the cached context. The first call is not thread-safe — parties
-  /// that share a Params across threads call Fp() once at construction.
-  const crypto::Fp256* Fp() const;
-
-  /// Internal Fp() cache slot; tracks the prime it was computed for so a
-  /// post-construction `params.prime = ...` assignment invalidates it.
-  struct FpSlot {
-    crypto::BigUint prime;
-    std::optional<crypto::Fp256> fp;
-  };
-  mutable std::shared_ptr<const FpSlot> fp_slot_;
+  /// Calls `fn(const crypto::Fp<L>&)` with this prime's field: every
+  /// protocol step is one template over L, dispatched here. Requires a
+  /// validated Params.
+  template <typename Fn>
+  decltype(auto) WithField(Fn&& fn) const {
+    return std::visit(std::forward<Fn>(fn), *field);
+  }
 };
 
 /// Creates parameters for `num_sources` sources: computes the padding and
@@ -102,44 +107,28 @@ QuerierKeys GenerateKeys(const Params& params, const Bytes& master_seed);
 StatusOr<SourceKeys> KeysForSource(const QuerierKeys& keys, uint32_t index);
 
 // --- Temporal key derivation (initialization phase, shared by source and
-// --- querier so it lives here) ---
+// --- querier so it lives here). Each is one template over the field's
+// --- limb count L, instantiated for L = 4..8.
 
 /// K_t = HM256(K, t), reduced into [1, p): the multiplicative key must be
 /// nonzero for decryption to exist. The reduction is deterministic, so
 /// source and querier always agree.
-crypto::BigUint DeriveEpochGlobalKey(const Params& params,
+template <size_t L>
+crypto::UInt<L> DeriveEpochGlobalKey(const crypto::Fp<L>& fp,
                                      const Bytes& global_key, uint64_t epoch);
 
 /// k_{i,t} = HM256(k_i, t), reduced into [0, p).
-crypto::BigUint DeriveEpochSourceKey(const Params& params,
+template <size_t L>
+crypto::UInt<L> DeriveEpochSourceKey(const crypto::Fp<L>& fp,
                                      const Bytes& source_key, uint64_t epoch);
 
 /// ss_{i,t}: HM1(k_i, t) (20 bytes) or HM256(k_i, "share" || t)
-/// (32 bytes) depending on params.share_prf, as an integer. The SHA-256
-/// variant is domain-separated from the k_{i,t} derivation, which also
-/// uses HM256 on the same key.
-crypto::BigUint DeriveEpochShare(const Params& params,
+/// (32 bytes) depending on `prf`, as an integer. `fp` only fixes the
+/// width. The SHA-256 variant is domain-separated from the k_{i,t}
+/// derivation, which also uses HM256 on the same key.
+template <size_t L>
+crypto::UInt<L> DeriveEpochShare(const crypto::Fp<L>& fp, SharePrf prf,
                                  const Bytes& source_key, uint64_t epoch);
-
-/// Paper-configuration convenience (HM1 shares).
-crypto::BigUint DeriveEpochShare(const Bytes& source_key, uint64_t epoch);
-
-// --- Fixed-width derivation (the Fp256 fast path). Bit-identical to the
-// --- BigUint derivations above: same PRF bytes, same reduction (a single
-// --- conditional subtract, since the PRF output is < 2^256 <= 2p).
-
-/// K_t as a U256, reduced into [1, p).
-crypto::U256 DeriveEpochGlobalKeyFp(const crypto::Fp256& fp,
-                                    const Bytes& global_key, uint64_t epoch);
-
-/// k_{i,t} as a U256, reduced into [0, p).
-crypto::U256 DeriveEpochSourceKeyFp(const crypto::Fp256& fp,
-                                    const Bytes& source_key, uint64_t epoch);
-
-/// ss_{i,t} as a U256. Only valid for the HM1 profile (20-byte shares) —
-/// the only share PRF whose layout fits under a 256-bit prime, hence the
-/// only one the fast path ever sees.
-crypto::U256 DeriveEpochShareFp(const Bytes& source_key, uint64_t epoch);
 
 // --- Batched derivation (the multi-buffer fast path). Each function is
 // --- bit-identical to calling its scalar counterpart above once per
@@ -150,26 +139,21 @@ crypto::U256 DeriveEpochShareFp(const Bytes& source_key, uint64_t epoch);
 // --- The HM1 share derivation (SHA-1) has no batch form; it stays on
 // --- the scalar path even when the k_{i,t} batch runs.
 
-/// k_{i,t} for sources [begin, begin + count) into out[0..count), as
-/// U256 reduced into [0, p). Equals DeriveEpochSourceKeyFp per index.
-void DeriveEpochSourceKeysFpBatch(const crypto::Fp256& fp,
-                                  const std::vector<Bytes>& source_keys,
-                                  size_t begin, size_t count, uint64_t epoch,
-                                  crypto::U256* out);
-
-/// k_{i,t} for sources [begin, begin + count) into out[0..count), as
-/// BigUint reduced mod p. Equals DeriveEpochSourceKey per index.
-void DeriveEpochSourceKeysBatch(const Params& params,
+/// k_{i,t} for sources [begin, begin + count) into out[0..count).
+/// Equals DeriveEpochSourceKey per index.
+template <size_t L>
+void DeriveEpochSourceKeysBatch(const crypto::Fp<L>& fp,
                                 const std::vector<Bytes>& source_keys,
                                 size_t begin, size_t count, uint64_t epoch,
-                                crypto::BigUint* out);
+                                crypto::UInt<L>* out);
 
 /// ss_{i,t} for the hardened HM256 profile, sources [begin, begin +
-/// count) into out[0..count). Equals DeriveEpochShare per index (only
-/// call when params.share_prf == SharePrf::kHmacSha256).
+/// count) into out[0..count). Equals DeriveEpochShare(kHmacSha256) per
+/// index.
+template <size_t L>
 void DeriveEpochSharesHm256Batch(const std::vector<Bytes>& source_keys,
                                  size_t begin, size_t count, uint64_t epoch,
-                                 crypto::BigUint* out);
+                                 crypto::UInt<L>* out);
 
 }  // namespace sies::core
 

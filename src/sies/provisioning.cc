@@ -102,7 +102,7 @@ StatusOr<Params> ReadParams(Reader& reader) {
   params.share_bytes = prf.value() == 0 ? 20 : 32;
   auto prime = reader.ReadLengthPrefixed();
   if (!prime.ok()) return prime.status();
-  params.prime = crypto::BigUint::FromBytes(prime.value());
+  params.SetPrime(crypto::BigUint::FromBytes(prime.value()));
   SIES_RETURN_IF_ERROR(params.Validate());
   return params;
 }

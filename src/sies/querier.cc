@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <numeric>
+#include <type_traits>
 
 #include "telemetry/metrics.h"
 #include "telemetry/trace.h"
@@ -30,7 +31,6 @@ Querier::Querier(Params params, QuerierKeys keys)
     : params_(std::move(params)),
       keys_(std::move(keys)),
       cache_(std::make_shared<EpochKeyCache>()) {
-  params_.Fp();  // warm the fixed-width context before any sharing
   psr_bytes_ = params_.PsrBytes();
   all_sources_.resize(params_.num_sources);
   std::iota(all_sources_.begin(), all_sources_.end(), 0u);
@@ -75,35 +75,31 @@ StatusOr<Evaluation> Querier::EvaluateCore(
   const QuerierMetrics& metrics = QuerierMetrics::Get();
   metrics.evaluations->Increment();
   telemetry::ScopedSpan span("evaluate-decrypt", "querier", epoch);
-  const crypto::Fp256* fp =
-      params_.share_prf == SharePrf::kHmacSha1 ? params_.Fp() : nullptr;
-
-  if (fp != nullptr) {
-    auto ciphertext = ParsePsrFp(params_, *fp, body, body_len);
+  return params_.WithField([&](const auto& fp) -> StatusOr<Evaluation> {
+    auto ciphertext = ParsePsr(fp, body, body_len);
     if (!ciphertext.ok()) return ciphertext.status();
     for (uint32_t index : participating) {
       if (index >= keys_.source_keys.size()) {
         return Status::NotFound("participating index out of range");
       }
     }
-
-    auto global = cache_->Global(params_, keys_.global_key, epoch);
-    auto per_source =
-        cache_->Sources(params_, keys_.source_keys, epoch, pool_);
+    auto global = cache_->Global(fp, keys_.global_key, epoch);
+    auto per_source = cache_->Sources(fp, params_.share_prf,
+                                      keys_.source_keys, epoch, pool_);
 
     // Σ k_{i,t} mod p and the plain integer Σ ss_{i,t} over the
-    // participants. Shares are < 2^160 and N < 2^32, so the share sum
-    // stays below 2^192 — no carry out of a U256.
-    crypto::U256 key_sum;
-    crypto::U256 share_sum;
+    // participants. Validate keeps the share field plus its ceil(log2 N)
+    // pad below p, so the share sum cannot carry out of L limbs.
+    using Uint = typename std::decay_t<decltype(fp)>::Uint;
+    Uint key_sum;
+    Uint share_sum;
     for (uint32_t index : participating) {
-      key_sum = fp->Add(key_sum, per_source->keys_fp[index]);
-      crypto::U256::Add(share_sum, per_source->shares_fp[index], &share_sum);
+      key_sum = fp.Add(key_sum, per_source->keys[index]);
+      Uint::Add(share_sum, per_source->shares[index], &share_sum);
     }
 
-    crypto::U256 message =
-        DecryptFp(*fp, ciphertext.value(), global->key_inv_fp, key_sum);
-    auto unpacked = UnpackMessageFp(params_, message);
+    auto unpacked = UnpackMessage(
+        params_, Decrypt(fp, ciphertext.value(), global->key_inv, key_sum));
     if (!unpacked.ok()) {
       // A value-field overflow in a genuine run is a configuration error,
       // but an adversarial PSR can also produce it; report as unverified.
@@ -112,51 +108,11 @@ StatusOr<Evaluation> Querier::EvaluateCore(
     }
     Evaluation eval;
     eval.sum = unpacked.value().sum;
-    eval.verified =
-        crypto::U256::ConstantTimeEqual(unpacked.value().share_sum, share_sum);
+    eval.verified = Uint::ConstantTimeEqual(unpacked.value().share_sum,
+                                            share_sum);
     if (!eval.verified) metrics.unverified->Increment();
     return eval;
-  }
-
-  auto ciphertext = ParsePsr(params_, body, body_len);
-  if (!ciphertext.ok()) return ciphertext.status();
-  for (uint32_t index : participating) {
-    if (index >= keys_.source_keys.size()) {
-      return Status::NotFound("participating index out of range");
-    }
-  }
-
-  auto global = cache_->Global(params_, keys_.global_key, epoch);
-  auto per_source =
-      cache_->Sources(params_, keys_.source_keys, epoch, pool_);
-
-  // Σ k_{i,t} and Σ ss_{i,t} over the participating sources.
-  crypto::BigUint key_sum;
-  crypto::BigUint share_sum;
-  for (uint32_t index : participating) {
-    key_sum = crypto::BigUint::ModAdd(key_sum, per_source->keys[index],
-                                      params_.prime)
-                  .value();
-    share_sum = crypto::BigUint::Add(share_sum, per_source->shares[index]);
-  }
-
-  auto message = DecryptWithInverse(params_, ciphertext.value(),
-                                    global->key_inv, key_sum);
-  if (!message.ok()) return message.status();
-  auto unpacked = UnpackMessage(params_, message.value());
-  if (!unpacked.ok()) {
-    // A value-field overflow in a genuine run is a configuration error,
-    // but an adversarial PSR can also produce it; report as unverified.
-    metrics.unverified->Increment();
-    return Evaluation{0, false};
-  }
-
-  Evaluation eval;
-  eval.sum = unpacked.value().sum;
-  eval.verified =
-      crypto::BigUint::ConstantTimeEqual(unpacked.value().share_sum, share_sum);
-  if (!eval.verified) metrics.unverified->Increment();
-  return eval;
+  });
 }
 
 StatusOr<Evaluation> Querier::Evaluate(const Bytes& final_psr,
@@ -177,9 +133,11 @@ void Querier::WarmEpoch(uint64_t epoch) const {
 }
 
 void Querier::WarmEpoch(uint64_t epoch, bool use_pool) const {
-  cache_->Global(params_, keys_.global_key, epoch);
-  cache_->Sources(params_, keys_.source_keys, epoch,
-                  use_pool ? pool_ : nullptr);
+  params_.WithField([&](const auto& fp) {
+    cache_->Global(fp, keys_.global_key, epoch);
+    cache_->Sources(fp, params_.share_prf, keys_.source_keys, epoch,
+                    use_pool ? pool_ : nullptr);
+  });
 }
 
 bool Querier::WireBitmapIsFull(const uint8_t* bitmap) const {

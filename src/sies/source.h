@@ -18,20 +18,18 @@ class Source {
  public:
   /// `index` is the source's logical id i in [0, N).
   Source(Params params, uint32_t index, SourceKeys keys)
-      : params_(std::move(params)), index_(index), keys_(std::move(keys)) {
-    params_.Fp();  // warm the fixed-width context before any sharing
-  }
+      : params_(std::move(params)), index_(index), keys_(std::move(keys)) {}
 
   /// Initialization phase: produces PSR_{i,t} for reading `value` at
   /// epoch `epoch`. Cost profile (paper Eq. 3): two HM256, one HM1, one
-  /// 32-byte modular multiplication and one addition.
+  /// PsrBytes-wide modular multiplication and one addition.
   StatusOr<Bytes> CreatePsr(uint64_t value, uint64_t epoch) const;
 
   /// CreatePsr writing the params().PsrBytes()-wide PSR into `out`
   /// instead of allocating — for hot epoch loops assembling many PSRs
   /// into one buffer (a core::PsrArena, the engine's multi-channel
-  /// body). On the fixed-width fast path this performs no heap
-  /// allocation at all. Identical bytes to CreatePsr.
+  /// body). The arithmetic performs no heap allocation. Identical bytes
+  /// to CreatePsr.
   Status CreatePsrInto(uint64_t value, uint64_t epoch, uint8_t* out) const;
 
   /// Like CreatePsr, but wrapped in the loss-reporting wire envelope

@@ -1,248 +1,272 @@
-#include "crypto/fp256.h"
+// Differential test of the fixed-width field kernel: UInt<L> and Fp<L>
+// against the BigUint oracle at every instantiated limb count L = 4..8,
+// over primes of 193 to 512 bits. The 193-, 255- and 257-bit primes
+// leave their top limb nearly empty, where a 256-bit PRF output exceeds
+// p by many multiples (193) or the prime sits just off a limb boundary.
+#include "crypto/fp.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
+#include <string>
+#include <type_traits>
+#include <variant>
+#include <vector>
 
 #include "common/rng.h"
 #include "crypto/biguint.h"
+#include "crypto/prime.h"
 
 namespace sies::crypto {
 namespace {
 
-BigUint Hex(std::string_view s) {
-  auto v = BigUint::FromHexString(s);
-  EXPECT_TRUE(v.ok()) << s;
-  return v.value();
+struct PrimeCase {
+  size_t bits;
+  /// Hex of a fixed prime, or nullptr to generate a `bits`-bit prime.
+  const char* hex;
+};
+
+BigUint PrimeOf(const PrimeCase& c) {
+  if (c.hex != nullptr) return BigUint::FromHexString(c.hex).value();
+  Xoshiro256 rng(c.bits);
+  return GeneratePrime(c.bits, rng);
 }
 
-// secp256k1 prime: 2^256 - 2^32 - 977.
-constexpr std::string_view kPrimeHexA =
-    "fffffffffffffffffffffffffffffffffffffffffffffffffffffffefffffc2f";
-// NIST P-256 prime: close to 2^256 but with long zero runs — exercises
-// different limb patterns in the Barrett constants.
-constexpr std::string_view kPrimeHexB =
-    "ffffffff00000001000000000000000000000000ffffffffffffffffffffffff";
+BigUint Pow2(size_t bits) { return BigUint::Shl(BigUint(1), bits); }
 
-U256 FromBig(const BigUint& x) {
-  auto r = U256::FromBigUint(x);
-  EXPECT_TRUE(r.ok());
-  return r.value();
-}
-
-TEST(U256Test, ZeroProperties) {
-  U256 z;
-  EXPECT_TRUE(z.IsZero());
-  EXPECT_EQ(z.BitLength(), 0u);
-  EXPECT_EQ(z.Low64(), 0u);
-  EXPECT_TRUE(z.ToBigUint().IsZero());
-  Bytes b = z.ToBytes32();
-  ASSERT_EQ(b.size(), 32u);
-  for (uint8_t byte : b) EXPECT_EQ(byte, 0);
-}
-
-TEST(U256Test, FromUint64RoundTrip) {
-  U256 x = U256::FromUint64(0x123456789abcdef0ull);
-  EXPECT_EQ(x.Low64(), 0x123456789abcdef0ull);
-  EXPECT_EQ(x.BitLength(), 61u);
-  EXPECT_EQ(x.ToBigUint(), BigUint(0x123456789abcdef0ull));
-}
-
-TEST(U256Test, FromBigUintRejectsWideValues) {
-  BigUint wide = BigUint::Shl(BigUint(1), 256);
-  EXPECT_FALSE(U256::FromBigUint(wide).ok());
-  // 2^256 - 1 is the widest representable value.
-  BigUint max = BigUint::Sub(wide, BigUint(1));
-  auto ok = U256::FromBigUint(max);
-  ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value().BitLength(), 256u);
-  EXPECT_EQ(ok.value().ToBigUint(), max);
-}
-
-TEST(U256Test, BytesBigEndianMatchesBigUint) {
-  Xoshiro256 rng(11);
-  for (int i = 0; i < 200; ++i) {
-    size_t bits = 1 + rng.Next() % 256;
-    BigUint x = BigUint::RandomWithBits(bits, rng);
-    U256 u = FromBig(x);
-    EXPECT_EQ(u.ToBytes32(), x.ToBytes(32).value());
-    // Parse back from a minimal-width encoding too.
-    Bytes minimal = x.ToBytes();
-    EXPECT_EQ(U256::FromBytesBE(minimal.data(), minimal.size()).ToBigUint(),
-              x);
+// BigUint value of a little-endian limb array.
+BigUint FromLimbs(const uint64_t* limbs, size_t n) {
+  BigUint out;
+  for (size_t i = n; i-- > 0;) {
+    out = BigUint::Add(BigUint::Shl(out, 64), BigUint(limbs[i]));
   }
+  return out;
 }
 
-TEST(U256Test, FromBytesShortAndEmptyInputs) {
-  EXPECT_TRUE(U256::FromBytesBE(nullptr, 0).IsZero());
-  uint8_t one = 0x01;
-  EXPECT_EQ(U256::FromBytesBE(&one, 1).Low64(), 1u);
-  uint8_t nine[9] = {0x01, 0, 0, 0, 0, 0, 0, 0, 0};
-  U256 x = U256::FromBytesBE(nine, 9);
-  EXPECT_EQ(x.BitLength(), 65u);
-  EXPECT_EQ(x.v[1], 1u);
+template <size_t L>
+UInt<L> FromBig(const BigUint& x) {
+  auto r = UInt<L>::FromBigUint(x);
+  EXPECT_TRUE(r.ok()) << x.ToHexString();
+  return r.ok() ? r.value() : UInt<L>();
 }
 
-TEST(U256Test, AddSubCarryBorrow) {
-  U256 max;
-  for (auto& limb : max.v) limb = ~0ull;
-  U256 one = U256::FromUint64(1);
-  U256 sum;
-  EXPECT_EQ(U256::Add(max, one, &sum), 1u);  // wraps to zero with carry
-  EXPECT_TRUE(sum.IsZero());
-  U256 diff;
-  EXPECT_EQ(U256::Sub(sum, one, &diff), 1u);  // borrows back to max
-  EXPECT_EQ(diff, max);
-}
-
-TEST(U256Test, ShiftsMatchBigUint) {
-  Xoshiro256 rng(12);
-  for (int i = 0; i < 200; ++i) {
-    BigUint x = BigUint::RandomWithBits(1 + rng.Next() % 256, rng);
-    U256 u = FromBig(x);
-    size_t s = rng.Next() % 300;  // including >= 256
-    BigUint shl_ref =
-        BigUint::Mod(BigUint::Shl(x, s), BigUint::Shl(BigUint(1), 256))
-            .value();
-    EXPECT_EQ(u.Shl(s).ToBigUint(), shl_ref) << "shl " << s;
-    EXPECT_EQ(u.Shr(s).ToBigUint(), BigUint::Shr(x, s)) << "shr " << s;
-  }
-}
-
-TEST(U256Test, WideMulMatchesBigUint) {
-  Xoshiro256 rng(13);
-  for (int i = 0; i < 500; ++i) {
-    BigUint a = BigUint::RandomWithBits(1 + rng.Next() % 256, rng);
-    BigUint b = BigUint::RandomWithBits(1 + rng.Next() % 256, rng);
-    uint64_t prod[8];
-    U256::Mul(FromBig(a), FromBig(b), prod);
-    BigUint got;
-    for (size_t limb = 8; limb-- > 0;) {
-      got = BigUint::Add(BigUint::Shl(got, 64), BigUint(prod[limb]));
-    }
-    EXPECT_EQ(got, a * b);
-  }
-}
-
-TEST(Fp256Test, CreateRequires256BitModulus) {
-  EXPECT_FALSE(Fp256::Create(BigUint(0)).ok());
-  EXPECT_FALSE(Fp256::Create(BigUint(97)).ok());
-  // 255-bit and 257-bit values are both rejected.
-  EXPECT_FALSE(Fp256::Create(BigUint::Shl(BigUint(1), 254)).ok());
-  EXPECT_FALSE(
-      Fp256::Create(BigUint::Add(BigUint::Shl(BigUint(1), 256), BigUint(1)))
-          .ok());
-  EXPECT_TRUE(Fp256::Create(Hex(kPrimeHexA)).ok());
-}
-
-class Fp256DifferentialTest : public ::testing::TestWithParam<std::string> {
+class FpDifferentialTest : public ::testing::TestWithParam<PrimeCase> {
  protected:
   void SetUp() override {
-    prime_ = Hex(GetParam());
-    fp_.emplace(Fp256::Create(prime_).value());
+    prime_ = PrimeOf(GetParam());
+    ASSERT_EQ(prime_.BitLength(), GetParam().bits);
+    auto field = MakePrimeField(prime_);
+    ASSERT_TRUE(field.ok()) << field.status().message();
+    field_.emplace(std::move(field).value());
+  }
+
+  /// Runs `check(fp)` with the prime's Fp<L>.
+  template <typename Check>
+  void WithFp(Check check) {
+    std::visit(check, *field_);
   }
 
   BigUint prime_;
-  std::optional<Fp256> fp_;
+  std::optional<PrimeField> field_;
 };
 
-TEST_P(Fp256DifferentialTest, EdgeValuesNearP) {
-  const Fp256& fp = *fp_;
-  BigUint p = prime_;
-  BigUint p_minus_1 = BigUint::Sub(p, BigUint(1));
-  U256 up1 = FromBig(p_minus_1);
-
-  // (p-1) + (p-1) = p - 2 mod p.
-  EXPECT_EQ(fp.Add(up1, up1).ToBigUint(), BigUint::Sub(p, BigUint(2)));
-  // (p-1) + 1 = 0 mod p.
-  EXPECT_TRUE(fp.Add(up1, U256::FromUint64(1)).IsZero());
-  // 0 - 1 = p - 1 mod p.
-  EXPECT_EQ(fp.Sub(U256(), U256::FromUint64(1)).ToBigUint(), p_minus_1);
-  // (p-1)^2 = 1 mod p.
-  EXPECT_EQ(fp.Mul(up1, up1).ToBigUint(), BigUint(1));
-  // Reduce of p and p+1 (both < 2^256 for these primes).
-  EXPECT_TRUE(fp.Reduce(FromBig(p)).IsZero());
-  EXPECT_EQ(fp.Reduce(FromBig(BigUint::Add(p, BigUint(1)))).ToBigUint(),
-            BigUint(1));
-  // Reduce of 2^256 - 1.
-  BigUint max = BigUint::Sub(BigUint::Shl(BigUint(1), 256), BigUint(1));
-  EXPECT_EQ(fp.Reduce(FromBig(max)).ToBigUint(),
-            BigUint::Mod(max, p).value());
-  // ReduceWide of the all-ones 512-bit value.
-  uint64_t wide[8];
-  for (auto& limb : wide) limb = ~0ull;
-  BigUint max512 = BigUint::Sub(BigUint::Shl(BigUint(1), 512), BigUint(1));
-  EXPECT_EQ(fp.ReduceWide(wide).ToBigUint(),
-            BigUint::Mod(max512, p).value());
+TEST_P(FpDifferentialTest, FieldHasThePrimesWidth) {
+  WithFp([&](const auto& fp) {
+    using Uint = typename std::decay_t<decltype(fp)>::Uint;
+    constexpr size_t L = Uint::kLimbs;
+    EXPECT_EQ(L, LimbsForBits(GetParam().bits));
+    EXPECT_EQ(fp.prime().ToBigUint(), prime_);
+    EXPECT_EQ(fp.bytes(), (GetParam().bits + 7) / 8);
+    // The same prime under any other limb count is rejected.
+    EXPECT_FALSE(Fp<L == 8 ? 4 : L + 1>::Create(prime_).ok());
+  });
 }
 
-TEST_P(Fp256DifferentialTest, RandomizedAgainstBigUint) {
-  const Fp256& fp = *fp_;
-  const BigUint& p = prime_;
-  Xoshiro256 rng(991);
-  BigUint two_256 = BigUint::Shl(BigUint(1), 256);
+TEST_P(FpDifferentialTest, EdgeOperands) {
+  WithFp([&](const auto& fp) {
+    using Uint = typename std::decay_t<decltype(fp)>::Uint;
+    constexpr size_t L = Uint::kLimbs;
+    const BigUint& p = prime_;
 
-  for (int i = 0; i < 10000; ++i) {
-    BigUint a_big, b_big;
-    switch (i % 5) {
-      case 0:  // uniform below p
-        a_big = BigUint::RandomBelow(p, rng);
-        b_big = BigUint::RandomBelow(p, rng);
-        break;
-      case 1: {  // just below p
-        uint64_t da = rng.Next() % 4 + 1, db = rng.Next() % 4 + 1;
-        a_big = BigUint::Sub(p, BigUint(da));
-        b_big = BigUint::Sub(p, BigUint(db));
-        break;
+    // UInt<L> representation edges: zero, the widest value, carries.
+    Uint zero;
+    EXPECT_TRUE(zero.IsZero());
+    EXPECT_EQ(zero.BitLength(), 0u);
+    EXPECT_TRUE(zero.ToBigUint().IsZero());
+    EXPECT_TRUE(Uint::FromBytesBE(nullptr, 0).IsZero());
+    const BigUint max = BigUint::Sub(Pow2(64 * L), BigUint(1));
+    EXPECT_FALSE(Uint::FromBigUint(Pow2(64 * L)).ok());
+    Uint umax = FromBig<L>(max);
+    EXPECT_EQ(umax.BitLength(), 64 * L);
+    EXPECT_EQ(umax.ToBigUint(), max);
+    Uint one = Uint::FromUint64(1), wrapped, back;
+    EXPECT_EQ(Uint::Add(umax, one, &wrapped), 1u);  // wraps with carry
+    EXPECT_TRUE(wrapped.IsZero());
+    EXPECT_EQ(Uint::Sub(wrapped, one, &back), 1u);  // borrows back
+    EXPECT_EQ(back, umax);
+    Uint word = Uint::FromUint64(0x123456789abcdef0ull);
+    EXPECT_EQ(word.Low64(), 0x123456789abcdef0ull);
+    EXPECT_EQ(word.BitLength(), 61u);
+    uint8_t nine[9] = {0x01, 0, 0, 0, 0, 0, 0, 0, 0};
+    EXPECT_EQ(Uint::FromBytesBE(nine, 9).BitLength(), 65u);
+
+    // Field operands: 0, 1, p-1, p-2, 2^(64(L-1)) in every pairing.
+    const std::vector<BigUint> edges = {
+        BigUint(0), BigUint(1), BigUint::Sub(p, BigUint(1)),
+        BigUint::Sub(p, BigUint(2)), Pow2(64 * (L - 1))};
+    for (const BigUint& a_big : edges) {
+      const Uint a = FromBig<L>(a_big);
+      for (const BigUint& b_big : edges) {
+        const Uint b = FromBig<L>(b_big);
+        EXPECT_EQ(fp.Add(a, b).ToBigUint(),
+                  BigUint::ModAdd(a_big, b_big, p).value());
+        EXPECT_EQ(fp.Sub(a, b).ToBigUint(),
+                  BigUint::ModSub(a_big, b_big, p).value());
+        EXPECT_EQ(fp.Mul(a, b).ToBigUint(),
+                  BigUint::ModMul(a_big, b_big, p).value());
       }
-      case 2:  // tiny operands
-        a_big = BigUint(rng.Next() % 7);
-        b_big = BigUint(rng.Next() % 7);
-        break;
-      case 3:  // mixed widths
-        a_big = BigUint::Mod(BigUint::RandomWithBits(1 + rng.Next() % 256,
-                                                     rng),
-                             p)
-                    .value();
-        b_big = BigUint::RandomBelow(p, rng);
-        break;
-      default:  // skewed small/large
-        a_big = BigUint::RandomBelow(BigUint(1u << 20), rng);
-        b_big = BigUint::Sub(p, BigUint(1 + rng.Next() % 1000));
-        break;
+      if (a_big.IsZero()) {
+        EXPECT_FALSE(fp.Inverse(a).ok());
+      } else {
+        EXPECT_EQ(fp.Inverse(a).value().ToBigUint(),
+                  BigUint::ModInverse(a_big, p).value());
+      }
     }
-    U256 a = FromBig(a_big), b = FromBig(b_big);
 
-    EXPECT_EQ(fp.Add(a, b).ToBigUint(),
-              BigUint::ModAdd(a_big, b_big, p).value());
-    EXPECT_EQ(fp.Sub(a, b).ToBigUint(),
-              BigUint::ModSub(a_big, b_big, p).value());
-    EXPECT_EQ(fp.Mul(a, b).ToBigUint(),
-              BigUint::ModMul(a_big, b_big, p).value());
-
-    // Reduce over the full 256-bit range, including values >= p.
-    BigUint r_big = BigUint::RandomBelow(two_256, rng);
-    EXPECT_EQ(fp.Reduce(FromBig(r_big)).ToBigUint(),
-              BigUint::Mod(r_big, p).value());
-
-    // Inverse is the cold path; sample it at 1/20 density.
-    if (i % 20 == 0 && !a_big.IsZero()) {
-      auto inv = fp.Inverse(a);
-      ASSERT_TRUE(inv.ok());
-      EXPECT_EQ(inv.value().ToBigUint(),
-                BigUint::ModInverse(a_big, p).value());
-      EXPECT_EQ(fp.Mul(a, inv.value()).ToBigUint(), BigUint(1));
+    // Reduce of 256-bit PRF outputs at and past p (where p < 2^256), and
+    // of the widest L-limb value; ReduceWide of the widest 2L-limb value.
+    const BigUint prf_max = BigUint::Sub(Pow2(256), BigUint(1));
+    std::vector<BigUint> reduce_inputs = {BigUint(0), prf_max, max};
+    if (p.BitLength() <= 256) {
+      reduce_inputs.push_back(p);
+      reduce_inputs.push_back(BigUint::Add(p, BigUint(1)));
     }
-  }
+    for (const BigUint& x : reduce_inputs) {
+      EXPECT_EQ(fp.Reduce(FromBig<L>(x)).ToBigUint(),
+                BigUint::Mod(x, p).value())
+          << x.ToHexString();
+    }
+    uint64_t wide[2 * L];
+    for (uint64_t& limb : wide) limb = ~0ull;
+    EXPECT_EQ(fp.ReduceWide(wide).ToBigUint(),
+              BigUint::Mod(FromLimbs(wide, 2 * L), p).value());
+  });
 }
 
-INSTANTIATE_TEST_SUITE_P(Primes, Fp256DifferentialTest,
-                         ::testing::Values(std::string(kPrimeHexA),
-                                           std::string(kPrimeHexB)));
+TEST_P(FpDifferentialTest, RandomizedAgainstBigUint) {
+  WithFp([&](const auto& fp) {
+    using Uint = typename std::decay_t<decltype(fp)>::Uint;
+    constexpr size_t L = Uint::kLimbs;
+    const BigUint& p = prime_;
+    Xoshiro256 rng(991 + GetParam().bits);
 
-TEST(Fp256Test, InverseOfZeroFails) {
-  Fp256 fp = Fp256::Create(Hex(kPrimeHexA)).value();
-  EXPECT_FALSE(fp.Inverse(U256()).ok());
+    for (int i = 0; i < 10000; ++i) {
+      BigUint a_big, b_big;
+      switch (i % 5) {
+        case 0:  // uniform below p
+          a_big = BigUint::RandomBelow(p, rng);
+          b_big = BigUint::RandomBelow(p, rng);
+          break;
+        case 1:  // just below p
+          a_big = BigUint::Sub(p, BigUint(rng.Next() % 4 + 1));
+          b_big = BigUint::Sub(p, BigUint(rng.Next() % 4 + 1));
+          break;
+        case 2:  // tiny operands
+          a_big = BigUint(rng.Next() % 7);
+          b_big = BigUint(rng.Next() % 7);
+          break;
+        case 3:  // mixed widths
+          a_big = BigUint::Mod(
+                      BigUint::RandomWithBits(1 + rng.Next() % (64 * L), rng),
+                      p)
+                      .value();
+          b_big = BigUint::RandomBelow(p, rng);
+          break;
+        default:  // skewed small/large
+          a_big = BigUint::RandomBelow(BigUint(1u << 20), rng);
+          b_big = BigUint::Sub(p, BigUint(1 + rng.Next() % 1000));
+          break;
+      }
+      const Uint a = FromBig<L>(a_big), b = FromBig<L>(b_big);
+
+      EXPECT_EQ(fp.Add(a, b).ToBigUint(),
+                BigUint::ModAdd(a_big, b_big, p).value());
+      EXPECT_EQ(fp.Sub(a, b).ToBigUint(),
+                BigUint::ModSub(a_big, b_big, p).value());
+      EXPECT_EQ(fp.Mul(a, b).ToBigUint(),
+                BigUint::ModMul(a_big, b_big, p).value());
+
+      // Reduce of a 256-bit PRF output, including values >= p.
+      const BigUint r_big = BigUint::RandomBelow(Pow2(256), rng);
+      EXPECT_EQ(fp.Reduce(FromBig<L>(r_big)).ToBigUint(),
+                BigUint::Mod(r_big, p).value());
+
+      // ReduceWide of an arbitrary 2L-limb value.
+      uint64_t wide[2 * L];
+      for (uint64_t& limb : wide) limb = rng.Next();
+      EXPECT_EQ(fp.ReduceWide(wide).ToBigUint(),
+                BigUint::Mod(FromLimbs(wide, 2 * L), p).value());
+
+      // The UInt<L> layer under random values: bytes, shifts, and the
+      // full product.
+      const BigUint x = BigUint::RandomWithBits(1 + rng.Next() % (64 * L), rng);
+      const Uint ux = FromBig<L>(x);
+      uint8_t be[8 * L];
+      ux.ToBytesBE(be, sizeof(be));
+      EXPECT_EQ(Bytes(be, be + sizeof(be)), x.ToBytes(8 * L).value());
+      const Bytes minimal = x.ToBytes();
+      EXPECT_EQ(Uint::FromBytesBE(minimal.data(), minimal.size()), ux);
+      const size_t s = rng.Next() % (64 * L + 40);  // including >= 64L
+      EXPECT_EQ(ux.Shl(s).ToBigUint(),
+                BigUint::Mod(BigUint::Shl(x, s), Pow2(64 * L)).value())
+          << "shl " << s;
+      EXPECT_EQ(ux.Shr(s).ToBigUint(), BigUint::Shr(x, s)) << "shr " << s;
+      uint64_t prod[2 * L];
+      Uint::Mul(ux, a, prod);
+      EXPECT_EQ(FromLimbs(prod, 2 * L), x * a_big);
+
+      // Inverse is the cold path; sample it at 1/20 density.
+      if (i % 20 == 0 && !a_big.IsZero()) {
+        auto inv = fp.Inverse(a);
+        ASSERT_TRUE(inv.ok());
+        EXPECT_EQ(inv.value().ToBigUint(),
+                  BigUint::ModInverse(a_big, p).value());
+        EXPECT_EQ(fp.Mul(a, inv.value()).ToBigUint(), BigUint(1));
+      }
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Widths, FpDifferentialTest,
+    ::testing::Values(
+        PrimeCase{193, nullptr}, PrimeCase{255, nullptr},
+        PrimeCase{256, nullptr},
+        // secp256k1 (2^256 - 2^32 - 977) and NIST P-256, whose long zero
+        // runs exercise different limb patterns in the Barrett constant.
+        PrimeCase{256, "ffffffffffffffffffffffffffffffffffffffff"
+                       "fffffffffffffffefffffc2f"},
+        PrimeCase{256, "ffffffff00000001000000000000000000000000"
+                       "ffffffffffffffffffffffff"},
+        PrimeCase{257, nullptr}, PrimeCase{320, nullptr},
+        PrimeCase{321, nullptr}, PrimeCase{352, nullptr},
+        PrimeCase{384, nullptr}, PrimeCase{448, nullptr},
+        PrimeCase{512, nullptr}),
+    [](const ::testing::TestParamInfo<PrimeCase>& info) {
+      return std::to_string(info.param.bits) + "_" +
+             std::to_string(info.index);
+    });
+
+TEST(PrimeFieldTest, WidthsOutsideTheFieldAreRejected) {
+  Xoshiro256 rng(5);
+  EXPECT_FALSE(MakePrimeField(BigUint(0)).ok());
+  EXPECT_FALSE(MakePrimeField(BigUint(97)).ok());
+  EXPECT_FALSE(MakePrimeField(GeneratePrime(192, rng)).ok());
+  // 193 bits but a power of 2^64: its Barrett constant needs L + 2 limbs.
+  EXPECT_FALSE(MakePrimeField(Pow2(192)).ok());
+  EXPECT_FALSE(MakePrimeField(BigUint::Add(Pow2(512), BigUint(1))).ok());
+  EXPECT_TRUE(MakePrimeField(BigUint::Sub(Pow2(512), BigUint(569))).ok());
 }
 
 }  // namespace

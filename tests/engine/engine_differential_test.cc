@@ -3,7 +3,7 @@
 // value over the reported contributors, assembled by the same
 // AssembleOutcome) — same values, verified, same contributor sets, same
 // coverage — across query mixes, partial participation (loss), both
-// arithmetic tiers, and tampering. Also: per-query fault isolation
+// share profiles (HM1 at 256 bits, HM256 at 352), and tampering. Also: per-query fault isolation
 // (corrupting one physical channel fails exactly the queries reading
 // it) and thread-count invariance.
 #include <gtest/gtest.h>
@@ -263,14 +263,13 @@ TEST(EngineDifferentialTest, MalformedEnvelopesAreRejected) {
 }
 
 TEST(EngineDifferentialTest, HardenedProfileMixMatchesOracleUnderLoss) {
-  // The generic BigUint tier: the hardened HM256 profile (352-bit prime,
-  // HMAC-SHA256 shares) instead of the 256-bit Fp256 fast path, driven
+  // The hardened HM256 profile (352-bit prime on the 6-limb field,
+  // HMAC-SHA256 shares) instead of the 256-bit paper profile, driven
   // over a network whose radio turns lossy after epoch 4.
   auto params = core::MakeParams(kN, kSeed, /*value_bytes=*/8,
                                  /*prime_bits=*/352,
                                  core::SharePrf::kHmacSha256)
                     .value();
-  ASSERT_EQ(params.Fp(), nullptr) << "352 bits must take the BigUint tier";
   Fixture f;
   f.params_ = params;
   f.keys_ = core::GenerateKeys(params, EncodeUint64(kSeed));

@@ -198,11 +198,14 @@ TEST(FuzzTest, SiesParsePsrRandomBytes) {
   for (int t = 0; t < kTrials; ++t) {
     size_t len = rng.NextBelow(64);
     Bytes random = rng.NextBytes(len);
-    auto parsed = core::ParsePsr(params, random);
-    if (parsed.ok()) {
+    params.WithField([&](const auto& fp) {
+      auto parsed = core::ParsePsr(fp, random.data(), random.size());
+      if (!parsed.ok()) return;
       // Whatever parsed must re-serialize identically.
-      EXPECT_EQ(core::SerializePsr(params, parsed.value()).value(), random);
-    }
+      Bytes back(random.size());
+      core::SerializePsr(fp, parsed.value(), back.data());
+      EXPECT_EQ(back, random);
+    });
   }
 }
 

@@ -14,6 +14,7 @@
 // Runs under check.sh --tsan (label: race) so the flat fan-out is also
 // exercised for data races.
 #include <atomic>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -49,8 +50,9 @@ TEST(PoolOversubscriptionTest, BatchedSourcesDerivationNeverNests) {
   core::QuerierKeys keys = core::GenerateKeys(params, EncodeUint64(42));
   common::ThreadPool pool(4);
   core::EpochKeyCache cache;
-  auto entry = cache.Sources(params, keys.source_keys, 1, &pool);
-  ASSERT_EQ(entry->keys_fp.size(), 600u);
+  auto entry = cache.Sources(std::get<crypto::Fp<4>>(*params.field),
+                             params.share_prf, keys.source_keys, 1, &pool);
+  ASSERT_EQ(entry->keys.size(), 600u);
   EXPECT_EQ(pool.nested_inline_jobs(), 0u);
   EXPECT_GE(pool.max_job_size(), 3u) << "groups must reach the workers";
 }

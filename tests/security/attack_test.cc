@@ -3,6 +3,8 @@
 // (Theorems 1-4), plus the negative control on CMT.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "mutesla/mutesla.h"
 #include "net/adversary.h"
 #include "runner/runner.h"
@@ -331,22 +333,27 @@ TEST(SiesCompromisedSourceTest, CannotDecryptOtherSources) {
   core::Source honest(fx.params, 5, core::KeysForSource(fx.keys, 5).value());
   uint64_t secret_value = 3141;
   Bytes psr = honest.CreatePsr(secret_value, 1).value();
-  auto c = core::ParsePsr(fx.params, psr).value();
-  crypto::BigUint kt =
-      core::DeriveEpochGlobalKey(fx.params, fx.keys.global_key, 1);
   // Without k_{5,1}, the best the adversary can do is guess it; every
   // guess yields a different "plaintext", so the PSR carries no
   // information. Spot-check: 100 random guesses never produce a
   // message whose value field matches the secret.
   Xoshiro256 rng(123);
   int hits = 0;
-  for (int trial = 0; trial < 100; ++trial) {
-    crypto::BigUint guess =
-        crypto::BigUint::RandomBelow(fx.params.prime, rng);
-    auto m = core::Decrypt(fx.params, c, kt, guess).value();
-    auto unpacked = core::UnpackMessage(fx.params, m);
-    if (unpacked.ok() && unpacked.value().sum == secret_value) ++hits;
-  }
+  fx.params.WithField([&](const auto& fp) {
+    using Uint = typename std::decay_t<decltype(fp)>::Uint;
+    auto c = core::ParsePsr(fp, psr.data(), psr.size()).value();
+    auto kt_inv =
+        fp.Inverse(core::DeriveEpochGlobalKey(fp, fx.keys.global_key, 1))
+            .value();
+    for (int trial = 0; trial < 100; ++trial) {
+      Uint guess =
+          Uint::FromBigUint(crypto::BigUint::RandomBelow(fx.params.prime, rng))
+              .value();
+      auto unpacked =
+          core::UnpackMessage(fx.params, core::Decrypt(fp, c, kt_inv, guess));
+      if (unpacked.ok() && unpacked.value().sum == secret_value) ++hits;
+    }
+  });
   EXPECT_EQ(hits, 0);
 }
 

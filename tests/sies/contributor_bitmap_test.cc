@@ -89,30 +89,6 @@ TEST(ContributorBitmapTest, ParseMasksPaddingBits) {
   EXPECT_EQ(parsed.bytes()[1], 0x01);
 }
 
-class WirePayloadTest : public ::testing::TestWithParam<uint32_t> {};
-
-TEST_P(WirePayloadTest, SerializeParseRoundTrip) {
-  uint32_t n = GetParam();
-  auto params = MakeParams(n, /*seed=*/5).value();
-  ContributorBitmap bitmap(n);
-  ASSERT_TRUE(bitmap.Set(n / 2).ok());
-  Bytes body(params.PsrBytes(), 0xAB);
-  Bytes wire = SerializeWirePayload(params, bitmap, body).value();
-  EXPECT_EQ(wire.size(), WirePsrBytes(params));
-  EXPECT_EQ(wire.size(), WireBitmapBytes(params) + params.PsrBytes());
-  auto parsed = ParseWirePayload(params, wire, params.PsrBytes()).value();
-  EXPECT_EQ(parsed.bitmap, bitmap);
-  EXPECT_EQ(parsed.body, body);
-  // Truncated or padded payloads are rejected.
-  Bytes trunc(wire.begin(), wire.end() - 1);
-  EXPECT_FALSE(ParseWirePayload(params, trunc, params.PsrBytes()).ok());
-  wire.push_back(0);
-  EXPECT_FALSE(ParseWirePayload(params, wire, params.PsrBytes()).ok());
-}
-
-INSTANTIATE_TEST_SUITE_P(AwkwardWidths, WirePayloadTest,
-                         ::testing::Values(1, 8, 9, 255));
-
 TEST(WirePsrTest, PartialSumVerifiesOverExactContributorSet) {
   // Unit-level version of the loss story: only sources {1, 3} of 9
   // reach the aggregator; the querier recovers and verifies the partial

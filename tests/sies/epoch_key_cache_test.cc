@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "sies/message_format.h"
 
 namespace sies::core {
@@ -10,56 +12,55 @@ namespace {
 struct Fixture {
   Params params = MakeParams(8, 42).value();
   QuerierKeys keys = GenerateKeys(params, EncodeUint64(42));
+  const crypto::Fp<4>& fp = std::get<crypto::Fp<4>>(*params.field);
 };
 
-TEST(EpochKeyCacheTest, GlobalMatchesDirectDerivationAndInverse) {
-  Fixture f;
-  EpochKeyCache cache;
-  auto entry = cache.Global(f.params, f.keys.global_key, 5);
-  EXPECT_EQ(entry->key, DeriveEpochGlobalKey(f.params, f.keys.global_key, 5));
-  EXPECT_EQ(entry->key_inv,
-            crypto::BigUint::ModInverse(entry->key, f.params.prime).value());
-  // The reference configuration has a 256-bit prime -> fast mirrors set.
-  ASSERT_TRUE(entry->fast);
-  EXPECT_EQ(entry->key_fp.ToBigUint(), entry->key);
-  EXPECT_EQ(entry->key_inv_fp.ToBigUint(), entry->key_inv);
+// Every cached value equals its scalar derivation, and K_t^{-1} the
+// BigUint oracle's inverse, at each profile's width: the 256-bit paper
+// prime (Fp<4>), a 384-bit prime with HM1 shares and the hardened
+// 384-bit HM256 profile (both Fp<6>, the latter on the batched share
+// kernel). 70 sources leave a ragged final 8-lane batch.
+TEST(EpochKeyCacheTest, EntriesMatchScalarDerivationAtEveryWidth) {
+  struct Profile {
+    size_t bits;
+    SharePrf prf;
+  };
+  for (const Profile& profile : {Profile{256, SharePrf::kHmacSha1},
+                                 Profile{384, SharePrf::kHmacSha1},
+                                 Profile{384, SharePrf::kHmacSha256}}) {
+    SCOPED_TRACE(profile.bits);
+    Params params = MakeParams(70, 42, 4, profile.bits, profile.prf).value();
+    QuerierKeys keys = GenerateKeys(params, EncodeUint64(42));
+    params.WithField([&](const auto& fp) {
+      EpochKeyCache cache;
+      auto global = cache.Global(fp, keys.global_key, 5);
+      EXPECT_EQ(global->key, DeriveEpochGlobalKey(fp, keys.global_key, 5));
+      EXPECT_EQ(global->key_inv.ToBigUint(),
+                crypto::BigUint::ModInverse(global->key.ToBigUint(),
+                                            params.prime)
+                    .value());
+      auto sources = cache.Sources(fp, profile.prf, keys.source_keys, 6,
+                                   nullptr);
+      ASSERT_EQ(sources->keys.size(), 70u);
+      ASSERT_EQ(sources->shares.size(), 70u);
+      for (size_t i = 0; i < 70; ++i) {
+        EXPECT_EQ(sources->keys[i],
+                  DeriveEpochSourceKey(fp, keys.source_keys[i], 6));
+        EXPECT_EQ(sources->shares[i],
+                  DeriveEpochShare(fp, profile.prf, keys.source_keys[i], 6));
+      }
+    });
+  }
 }
 
 TEST(EpochKeyCacheTest, GlobalIsMemoizedPerEpoch) {
   Fixture f;
   EpochKeyCache cache;
-  auto a = cache.Global(f.params, f.keys.global_key, 7);
-  auto b = cache.Global(f.params, f.keys.global_key, 7);
+  auto a = cache.Global(f.fp, f.keys.global_key, 7);
+  auto b = cache.Global(f.fp, f.keys.global_key, 7);
   EXPECT_EQ(a.get(), b.get()) << "same epoch must share one snapshot";
-  auto c = cache.Global(f.params, f.keys.global_key, 8);
+  auto c = cache.Global(f.fp, f.keys.global_key, 8);
   EXPECT_NE(a.get(), c.get());
-}
-
-TEST(EpochKeyCacheTest, SourcesMatchDirectDerivation) {
-  Fixture f;
-  EpochKeyCache cache;
-  auto entry = cache.Sources(f.params, f.keys.source_keys, 3, nullptr);
-  ASSERT_TRUE(entry->fast);
-  ASSERT_EQ(entry->keys_fp.size(), f.keys.source_keys.size());
-  for (size_t i = 0; i < f.keys.source_keys.size(); ++i) {
-    EXPECT_EQ(entry->keys_fp[i].ToBigUint(),
-              DeriveEpochSourceKey(f.params, f.keys.source_keys[i], 3));
-    EXPECT_EQ(entry->shares_fp[i].ToBigUint(),
-              DeriveEpochShare(f.params, f.keys.source_keys[i], 3));
-  }
-}
-
-TEST(EpochKeyCacheTest, SourcesIdenticalWithAndWithoutPool) {
-  Fixture f;
-  EpochKeyCache with_pool, without_pool;
-  common::ThreadPool pool(3);
-  auto a = with_pool.Sources(f.params, f.keys.source_keys, 9, &pool);
-  auto b = without_pool.Sources(f.params, f.keys.source_keys, 9, nullptr);
-  ASSERT_EQ(a->keys_fp.size(), b->keys_fp.size());
-  for (size_t i = 0; i < a->keys_fp.size(); ++i) {
-    EXPECT_EQ(a->keys_fp[i], b->keys_fp[i]);
-    EXPECT_EQ(a->shares_fp[i], b->shares_fp[i]);
-  }
 }
 
 TEST(EpochKeyCacheTest, BatchedDerivationMatchesScalarAcrossGroups) {
@@ -69,64 +70,28 @@ TEST(EpochKeyCacheTest, BatchedDerivationMatchesScalarAcrossGroups) {
   // groups out.
   Params params = MakeParams(300, 42).value();
   QuerierKeys keys = GenerateKeys(params, EncodeUint64(42));
+  const auto& fp = std::get<crypto::Fp<4>>(*params.field);
   common::ThreadPool pool(3);
   EpochKeyCache pooled, serial;
-  auto a = pooled.Sources(params, keys.source_keys, 11, &pool);
-  auto b = serial.Sources(params, keys.source_keys, 11, nullptr);
-  ASSERT_TRUE(a->fast);
-  ASSERT_EQ(a->keys_fp.size(), 300u);
-  const crypto::Fp256* fp = params.Fp();
-  ASSERT_NE(fp, nullptr);
+  auto a = pooled.Sources(fp, params.share_prf, keys.source_keys, 11, &pool);
+  auto b = serial.Sources(fp, params.share_prf, keys.source_keys, 11, nullptr);
+  ASSERT_EQ(a->keys.size(), 300u);
   for (size_t i = 0; i < 300; ++i) {
-    EXPECT_EQ(a->keys_fp[i],
-              DeriveEpochSourceKeyFp(*fp, keys.source_keys[i], 11));
-    EXPECT_EQ(a->shares_fp[i], DeriveEpochShareFp(keys.source_keys[i], 11));
-    EXPECT_EQ(a->keys_fp[i], b->keys_fp[i]);
-    EXPECT_EQ(a->shares_fp[i], b->shares_fp[i]);
+    EXPECT_EQ(a->keys[i], DeriveEpochSourceKey(fp, keys.source_keys[i], 11));
+    EXPECT_EQ(a->shares[i], DeriveEpochShare(fp, params.share_prf,
+                                             keys.source_keys[i], 11));
+    EXPECT_EQ(a->keys[i], b->keys[i]);
+    EXPECT_EQ(a->shares[i], b->shares[i]);
   }
-}
-
-TEST(EpochKeyCacheTest, BatchedDerivationMatchesScalarHardenedProfile) {
-  // The HM256-share profile needs a wider prime, so it runs the generic
-  // BigUint batch (DeriveEpochSourceKeysBatch + DeriveEpochSharesHm256-
-  // Batch) rather than the Fp256 one.
-  Params params =
-      MakeParams(70, 42, 4, 384, SharePrf::kHmacSha256).value();
-  QuerierKeys keys = GenerateKeys(params, EncodeUint64(42));
-  EpochKeyCache cache;
-  auto entry = cache.Sources(params, keys.source_keys, 6, nullptr);
-  ASSERT_FALSE(entry->fast);
-  ASSERT_EQ(entry->keys.size(), 70u);
-  for (size_t i = 0; i < 70; ++i) {
-    EXPECT_EQ(entry->keys[i],
-              DeriveEpochSourceKey(params, keys.source_keys[i], 6));
-    EXPECT_EQ(entry->shares[i],
-              DeriveEpochShare(params, keys.source_keys[i], 6));
-  }
-}
-
-TEST(EpochKeyCacheTest, GenericPathForNon256BitPrime) {
-  // A 384-bit prime keeps every party on the BigUint path.
-  Params params = MakeParams(8, 42, 4, 384).value();
-  QuerierKeys keys = GenerateKeys(params, EncodeUint64(42));
-  EpochKeyCache cache;
-  auto global = cache.Global(params, keys.global_key, 2);
-  EXPECT_FALSE(global->fast);
-  EXPECT_EQ(global->key, DeriveEpochGlobalKey(params, keys.global_key, 2));
-  auto sources = cache.Sources(params, keys.source_keys, 2, nullptr);
-  EXPECT_FALSE(sources->fast);
-  ASSERT_EQ(sources->keys.size(), keys.source_keys.size());
-  EXPECT_EQ(sources->keys[0],
-            DeriveEpochSourceKey(params, keys.source_keys[0], 2));
 }
 
 TEST(EpochKeyCacheTest, EvictionBoundsRetainedEpochs) {
   Fixture f;
   EpochKeyCache cache(/*capacity=*/2);
-  auto e1 = cache.Global(f.params, f.keys.global_key, 1);
-  cache.Global(f.params, f.keys.global_key, 2);
-  cache.Global(f.params, f.keys.global_key, 3);  // evicts epoch 1
-  auto e1_again = cache.Global(f.params, f.keys.global_key, 1);
+  auto e1 = cache.Global(f.fp, f.keys.global_key, 1);
+  cache.Global(f.fp, f.keys.global_key, 2);
+  cache.Global(f.fp, f.keys.global_key, 3);  // evicts epoch 1
+  auto e1_again = cache.Global(f.fp, f.keys.global_key, 1);
   EXPECT_NE(e1.get(), e1_again.get()) << "epoch 1 was evicted, re-derived";
   EXPECT_EQ(e1->key, e1_again->key) << "re-derivation is deterministic";
 }
@@ -136,7 +101,7 @@ TEST(EpochKeyCacheTest, EvictionsAreCounted) {
   EpochKeyCache cache(/*capacity=*/2);
   EXPECT_EQ(cache.stats().evictions, 0u);
   for (uint64_t epoch = 1; epoch <= 5; ++epoch) {
-    cache.Global(f.params, f.keys.global_key, epoch);
+    cache.Global(f.fp, f.keys.global_key, epoch);
   }
   // Capacity 2, 5 inserts: epochs 1-3 were pushed out.
   EXPECT_EQ(cache.stats().evictions, 3u);
@@ -153,20 +118,20 @@ TEST(EpochKeyCacheTest, ReserveGrowsAndNeverShrinks) {
 
   // With room for all 5 epochs, the same access pattern evicts nothing.
   for (uint64_t epoch = 1; epoch <= 5; ++epoch) {
-    cache.Global(f.params, f.keys.global_key, epoch);
+    cache.Global(f.fp, f.keys.global_key, epoch);
   }
   EXPECT_EQ(cache.stats().evictions, 0u);
-  auto early = cache.Global(f.params, f.keys.global_key, 1);
+  auto early = cache.Global(f.fp, f.keys.global_key, 1);
   EXPECT_EQ(cache.stats().global_hits, 1u) << "epoch 1 must still be held";
-  EXPECT_EQ(early->key, DeriveEpochGlobalKey(f.params, f.keys.global_key, 1));
+  EXPECT_EQ(early->key, DeriveEpochGlobalKey(f.fp, f.keys.global_key, 1));
 }
 
 TEST(EpochKeyCacheTest, ClearDropsEverything) {
   Fixture f;
   EpochKeyCache cache;
-  auto a = cache.Global(f.params, f.keys.global_key, 4);
+  auto a = cache.Global(f.fp, f.keys.global_key, 4);
   cache.Clear();
-  auto b = cache.Global(f.params, f.keys.global_key, 4);
+  auto b = cache.Global(f.fp, f.keys.global_key, 4);
   EXPECT_NE(a.get(), b.get());
   EXPECT_EQ(a->key, b->key);
 }

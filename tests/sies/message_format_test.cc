@@ -3,20 +3,36 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <variant>
 
 namespace sies::core {
 namespace {
 
+using U = crypto::UInt<4>;  // the reference 256-bit prime's width
+
+U FromBig(const crypto::BigUint& x) { return U::FromBigUint(x).value(); }
+
+// 2^bits - 1 as a U.
+U Ones(size_t bits) {
+  U one = U::FromUint64(1), out;
+  U::Sub(one.Shl(bits), one, &out);
+  return out;
+}
+
 class MessageFormatTest : public ::testing::Test {
  protected:
-  MessageFormatTest() : params_(MakeParams(16, /*seed=*/1).value()) {}
+  MessageFormatTest()
+      : params_(MakeParams(16, /*seed=*/1).value()),
+        fp_(std::get<crypto::Fp<4>>(*params_.field)) {}
   Params params_;
+  const crypto::Fp<4>& fp_;
 };
 
 TEST_F(MessageFormatTest, PackUnpackRoundTrip) {
-  crypto::BigUint share =
+  U share = FromBig(
       crypto::BigUint::FromHexString("0123456789abcdef0123456789abcdef01234567")
-          .value();
+          .value());
   auto m = PackMessage(params_, 424242, share).value();
   auto unpacked = UnpackMessage(params_, m).value();
   EXPECT_EQ(unpacked.sum, 424242u);
@@ -24,7 +40,7 @@ TEST_F(MessageFormatTest, PackUnpackRoundTrip) {
 }
 
 TEST_F(MessageFormatTest, ZeroValueAndShare) {
-  auto m = PackMessage(params_, 0, crypto::BigUint()).value();
+  auto m = PackMessage(params_, 0, U()).value();
   EXPECT_TRUE(m.IsZero());
   auto unpacked = UnpackMessage(params_, m).value();
   EXPECT_EQ(unpacked.sum, 0u);
@@ -32,32 +48,24 @@ TEST_F(MessageFormatTest, ZeroValueAndShare) {
 }
 
 TEST_F(MessageFormatTest, ValueFieldBounds) {
-  crypto::BigUint share(1);
+  U share = U::FromUint64(1);
   EXPECT_TRUE(PackMessage(params_, 0xffffffffu, share).ok());
   EXPECT_FALSE(PackMessage(params_, 0x100000000ull, share).ok());
 }
 
 TEST_F(MessageFormatTest, ShareFieldBounds) {
-  crypto::BigUint max_share =
-      crypto::BigUint::Sub(crypto::BigUint::Shl(crypto::BigUint(1), 160),
-                           crypto::BigUint(1));
-  EXPECT_TRUE(PackMessage(params_, 1, max_share).ok());
-  crypto::BigUint too_big = crypto::BigUint::Shl(crypto::BigUint(1), 160);
-  EXPECT_FALSE(PackMessage(params_, 1, too_big).ok());
+  EXPECT_TRUE(PackMessage(params_, 1, Ones(160)).ok());
+  EXPECT_FALSE(PackMessage(params_, 1, U::FromUint64(1).Shl(160)).ok());
 }
 
 TEST_F(MessageFormatTest, SummedSharesCarryIntoPad) {
   // N=16 shares of the maximal 160-bit value overflow into the 4 pad
   // bits but must NOT touch the value field (paper Figure 2/3).
-  crypto::BigUint max_share =
-      crypto::BigUint::Sub(crypto::BigUint::Shl(crypto::BigUint(1), 160),
-                           crypto::BigUint(1));
-  crypto::BigUint total;
-  crypto::BigUint share_total;
+  const U max_share = Ones(160);
+  U total, share_total;
   for (int i = 0; i < 16; ++i) {
-    total = crypto::BigUint::Add(total,
-                                 PackMessage(params_, 1000, max_share).value());
-    share_total = crypto::BigUint::Add(share_total, max_share);
+    U::Add(total, PackMessage(params_, 1000, max_share).value(), &total);
+    U::Add(share_total, max_share, &share_total);
   }
   auto unpacked = UnpackMessage(params_, total).value();
   EXPECT_EQ(unpacked.sum, 16000u);
@@ -66,60 +74,60 @@ TEST_F(MessageFormatTest, SummedSharesCarryIntoPad) {
 
 TEST_F(MessageFormatTest, ValueFieldOverflowDetected) {
   // A summed message whose value field exceeds 4 bytes must be reported.
-  crypto::BigUint huge = crypto::BigUint::Shl(
-      crypto::BigUint(0x1ffffffffull), params_.ValueShiftBits());
+  U huge = U::FromUint64(0x1ffffffffull).Shl(params_.ValueShiftBits());
   EXPECT_FALSE(UnpackMessage(params_, huge).ok());
 }
 
 TEST_F(MessageFormatTest, EncryptDecryptRoundTrip) {
-  crypto::BigUint kt = DeriveEpochGlobalKey(params_, Bytes(20, 1), 7);
-  crypto::BigUint ki = DeriveEpochSourceKey(params_, Bytes(20, 2), 7);
-  auto m = PackMessage(params_, 1234, DeriveEpochShare(Bytes(20, 2), 7))
+  U kt = DeriveEpochGlobalKey(fp_, Bytes(20, 1), 7);
+  U ki = DeriveEpochSourceKey(fp_, Bytes(20, 2), 7);
+  auto m = PackMessage(params_, 1234,
+                       DeriveEpochShare(fp_, SharePrf::kHmacSha1,
+                                        Bytes(20, 2), 7))
                .value();
-  auto c = Encrypt(params_, m, kt, ki).value();
+  auto c = Encrypt(fp_, m, kt, ki).value();
   EXPECT_NE(c, m);
-  EXPECT_EQ(Decrypt(params_, c, kt, ki).value(), m);
+  EXPECT_EQ(Decrypt(fp_, c, fp_.Inverse(kt).value(), ki), m);
 }
 
 TEST_F(MessageFormatTest, EncryptRejectsOversizedMessage) {
   EXPECT_FALSE(
-      Encrypt(params_, params_.prime, crypto::BigUint(3), crypto::BigUint(5))
-          .ok());
+      Encrypt(fp_, fp_.prime(), U::FromUint64(3), U::FromUint64(5)).ok());
 }
 
 TEST_F(MessageFormatTest, HomomorphicSumOfTwo) {
-  crypto::BigUint kt = DeriveEpochGlobalKey(params_, Bytes(20, 1), 3);
-  crypto::BigUint k1 = DeriveEpochSourceKey(params_, Bytes(20, 2), 3);
-  crypto::BigUint k2 = DeriveEpochSourceKey(params_, Bytes(20, 3), 3);
-  auto m1 = PackMessage(params_, 100, crypto::BigUint(11)).value();
-  auto m2 = PackMessage(params_, 250, crypto::BigUint(22)).value();
-  auto c1 = Encrypt(params_, m1, kt, k1).value();
-  auto c2 = Encrypt(params_, m2, kt, k2).value();
-  auto c = crypto::BigUint::ModAdd(c1, c2, params_.prime).value();
-  auto key_sum = crypto::BigUint::ModAdd(k1, k2, params_.prime).value();
-  auto m = Decrypt(params_, c, kt, key_sum).value();
+  U kt = DeriveEpochGlobalKey(fp_, Bytes(20, 1), 3);
+  U k1 = DeriveEpochSourceKey(fp_, Bytes(20, 2), 3);
+  U k2 = DeriveEpochSourceKey(fp_, Bytes(20, 3), 3);
+  auto m1 = PackMessage(params_, 100, U::FromUint64(11)).value();
+  auto m2 = PackMessage(params_, 250, U::FromUint64(22)).value();
+  auto c1 = Encrypt(fp_, m1, kt, k1).value();
+  auto c2 = Encrypt(fp_, m2, kt, k2).value();
+  U m = Decrypt(fp_, fp_.Add(c1, c2), fp_.Inverse(kt).value(),
+                fp_.Add(k1, k2));
   auto unpacked = UnpackMessage(params_, m).value();
   EXPECT_EQ(unpacked.sum, 350u);
-  EXPECT_EQ(unpacked.share_sum, crypto::BigUint(33));
+  EXPECT_EQ(unpacked.share_sum, U::FromUint64(33));
 }
 
 TEST_F(MessageFormatTest, SerializePsrFixedWidth) {
-  auto c = crypto::BigUint(42);
-  auto psr = SerializePsr(params_, c).value();
-  EXPECT_EQ(psr.size(), params_.PsrBytes());
-  EXPECT_EQ(ParsePsr(params_, psr).value(), c);
+  const U c = U::FromUint64(42);
+  Bytes psr(params_.PsrBytes());
+  SerializePsr(fp_, c, psr.data());
+  EXPECT_EQ(psr, crypto::BigUint(42).ToBytes(params_.PsrBytes()).value());
+  EXPECT_EQ(ParsePsr(fp_, psr.data(), psr.size()).value(), c);
 }
 
 TEST_F(MessageFormatTest, ParsePsrRejectsWrongWidth) {
   Bytes short_psr(params_.PsrBytes() - 1, 0);
-  EXPECT_FALSE(ParsePsr(params_, short_psr).ok());
+  EXPECT_FALSE(ParsePsr(fp_, short_psr.data(), short_psr.size()).ok());
   Bytes long_psr(params_.PsrBytes() + 1, 0);
-  EXPECT_FALSE(ParsePsr(params_, long_psr).ok());
+  EXPECT_FALSE(ParsePsr(fp_, long_psr.data(), long_psr.size()).ok());
 }
 
 TEST_F(MessageFormatTest, ParsePsrRejectsNonResidue) {
   auto over = params_.prime.ToBytes(params_.PsrBytes()).value();
-  EXPECT_FALSE(ParsePsr(params_, over).ok());
+  EXPECT_FALSE(ParsePsr(fp_, over.data(), over.size()).ok());
 }
 
 TEST_F(MessageFormatTest, CiphertextLooksUniform) {
@@ -128,14 +136,43 @@ TEST_F(MessageFormatTest, CiphertextLooksUniform) {
   Bytes key(20, 0x55);
   std::set<std::string> seen;
   for (uint64_t epoch = 0; epoch < 50; ++epoch) {
-    crypto::BigUint kt = DeriveEpochGlobalKey(params_, Bytes(20, 1), epoch);
-    crypto::BigUint ki = DeriveEpochSourceKey(params_, key, epoch);
-    auto m = PackMessage(params_, 42, DeriveEpochShare(key, epoch)).value();
-    auto c = Encrypt(params_, m, kt, ki).value();
-    EXPECT_TRUE(seen.insert(c.ToHexString()).second)
+    U kt = DeriveEpochGlobalKey(fp_, Bytes(20, 1), epoch);
+    U ki = DeriveEpochSourceKey(fp_, key, epoch);
+    auto m = PackMessage(params_, 42,
+                         DeriveEpochShare(fp_, SharePrf::kHmacSha1, key, epoch))
+                 .value();
+    auto c = Encrypt(fp_, m, kt, ki).value();
+    EXPECT_TRUE(seen.insert(c.ToBigUint().ToHexString()).second)
         << "ciphertext repeated across epochs";
   }
 }
+
+class WirePayloadTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(WirePayloadTest, SerializeParseRoundTrip) {
+  uint32_t n = GetParam();
+  auto params = MakeParams(n, /*seed=*/5).value();
+  ContributorBitmap bitmap(n);
+  ASSERT_TRUE(bitmap.Set(n / 2).ok());
+  Bytes body(params.PsrBytes(), 0xAB);
+  Bytes wire = SerializeWirePayload(params, bitmap, body).value();
+  EXPECT_EQ(wire.size(), WirePsrBytes(params));
+  EXPECT_EQ(wire.size(), WireBitmapBytes(params) + params.PsrBytes());
+  auto parsed = ParseWirePayload(params, wire, params.PsrBytes()).value();
+  EXPECT_EQ(parsed.bitmap, bitmap);
+  EXPECT_EQ(parsed.body, body);
+  // Truncated or padded payloads are rejected.
+  Bytes trunc(wire.begin(), wire.end() - 1);
+  EXPECT_FALSE(ParseWirePayload(params, trunc, params.PsrBytes()).ok());
+  wire.push_back(0);
+  EXPECT_FALSE(ParseWirePayload(params, wire, params.PsrBytes()).ok());
+  // A bitmap sized for another N is refused on the way out.
+  EXPECT_FALSE(
+      SerializeWirePayload(params, ContributorBitmap(n + 8), body).ok());
+}
+
+INSTANTIATE_TEST_SUITE_P(AwkwardWidths, WirePayloadTest,
+                         ::testing::Values(1, 8, 9, 255));
 
 // Exhaustive bijection check on a tiny prime: for fixed K != 0 and any k,
 // m -> K*m + k mod p is a bijection, so a ciphertext reveals nothing

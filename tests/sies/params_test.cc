@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <variant>
 
 namespace sies::core {
 namespace {
@@ -74,8 +76,22 @@ TEST(ValidateTest, CatchesBadFieldSizes) {
   params.share_bytes = 16;
   EXPECT_FALSE(params.Validate().ok());
   params.share_bytes = 20;
+  const crypto::BigUint prime = params.prime;
   params.prime = crypto::BigUint();
   EXPECT_FALSE(params.Validate().ok());
+  // A prime assigned without SetPrime has no field context...
+  params.prime = crypto::BigUint::Add(prime, crypto::BigUint(2));
+  EXPECT_FALSE(params.Validate().ok());
+  // ...and primes wider than 512 bits have no field at all.
+  params.SetPrime(crypto::BigUint::Add(
+      crypto::BigUint::Shl(crypto::BigUint(1), 512), crypto::BigUint(1)));
+  EXPECT_EQ(params.field, nullptr);
+  Status too_wide = params.Validate();
+  EXPECT_FALSE(too_wide.ok());
+  EXPECT_NE(too_wide.message().find("512"), std::string::npos)
+      << too_wide.message();
+  params.SetPrime(prime);
+  EXPECT_TRUE(params.Validate().ok());
 }
 
 TEST(ValidateTest, CatchesUndersizedPad) {
@@ -121,53 +137,65 @@ TEST(KeysForSourceTest, ExtractsAndBoundsChecks) {
 TEST(TemporalKeysTest, ReducedIntoPrimeField) {
   auto params = MakeParams(16, 1).value();
   Bytes key(20, 0x77);
-  for (uint64_t epoch = 0; epoch < 20; ++epoch) {
-    crypto::BigUint kt = DeriveEpochGlobalKey(params, key, epoch);
-    EXPECT_FALSE(kt.IsZero()) << "K_t must be invertible";
-    EXPECT_LT(kt, params.prime);
-    EXPECT_LT(DeriveEpochSourceKey(params, key, epoch), params.prime);
-  }
+  params.WithField([&](const auto& fp) {
+    for (uint64_t epoch = 0; epoch < 20; ++epoch) {
+      auto kt = DeriveEpochGlobalKey(fp, key, epoch);
+      EXPECT_FALSE(kt.IsZero()) << "K_t must be invertible";
+      EXPECT_LT(kt.Compare(fp.prime()), 0);
+      EXPECT_LT(DeriveEpochSourceKey(fp, key, epoch).Compare(fp.prime()), 0);
+    }
+  });
 }
 
 TEST(TemporalKeysTest, EpochSeparation) {
   auto params = MakeParams(16, 1).value();
   Bytes key(20, 0x77);
-  EXPECT_NE(DeriveEpochGlobalKey(params, key, 1),
-            DeriveEpochGlobalKey(params, key, 2));
-  EXPECT_NE(DeriveEpochSourceKey(params, key, 1),
-            DeriveEpochSourceKey(params, key, 2));
-  EXPECT_NE(DeriveEpochShare(key, 1), DeriveEpochShare(key, 2));
+  params.WithField([&](const auto& fp) {
+    EXPECT_NE(DeriveEpochGlobalKey(fp, key, 1),
+              DeriveEpochGlobalKey(fp, key, 2));
+    EXPECT_NE(DeriveEpochSourceKey(fp, key, 1),
+              DeriveEpochSourceKey(fp, key, 2));
+    EXPECT_NE(DeriveEpochShare(fp, SharePrf::kHmacSha1, key, 1),
+              DeriveEpochShare(fp, SharePrf::kHmacSha1, key, 2));
+  });
 }
 
 TEST(TemporalKeysTest, KeySeparation) {
   auto params = MakeParams(16, 1).value();
   Bytes k1(20, 0x01), k2(20, 0x02);
-  EXPECT_NE(DeriveEpochSourceKey(params, k1, 5),
-            DeriveEpochSourceKey(params, k2, 5));
-  EXPECT_NE(DeriveEpochShare(k1, 5), DeriveEpochShare(k2, 5));
+  params.WithField([&](const auto& fp) {
+    EXPECT_NE(DeriveEpochSourceKey(fp, k1, 5), DeriveEpochSourceKey(fp, k2, 5));
+    EXPECT_NE(DeriveEpochShare(fp, SharePrf::kHmacSha1, k1, 5),
+              DeriveEpochShare(fp, SharePrf::kHmacSha1, k2, 5));
+  });
 }
 
 TEST(TemporalKeysTest, ShareIsTwentyBytes) {
+  auto params = MakeParams(16, 1).value();
   Bytes key(20, 0x33);
-  crypto::BigUint share = DeriveEpochShare(key, 3);
-  EXPECT_LE(share.BitLength(), 160u);
-  EXPECT_FALSE(share.IsZero());  // 2^-160 chance; deterministic here
+  params.WithField([&](const auto& fp) {
+    auto share = DeriveEpochShare(fp, SharePrf::kHmacSha1, key, 3);
+    EXPECT_LE(share.BitLength(), 160u);
+    EXPECT_FALSE(share.IsZero());  // 2^-160 chance; deterministic here
+  });
 }
 
 TEST(HardenedProfileTest, Sha256SharesWork) {
-  // The hardened profile: 32-byte HMAC-SHA256 shares under a wider prime.
+  // The hardened profile: 32-byte HMAC-SHA256 shares under a wider prime,
+  // on the 6-limb field.
   auto params = MakeParams(64, 1, /*value_bytes=*/4, /*prime_bits=*/352,
                            SharePrf::kHmacSha256)
                     .value();
   EXPECT_EQ(params.share_bytes, 32u);
   EXPECT_EQ(params.PsrBytes(), 44u);
   EXPECT_TRUE(params.Validate().ok());
+  const auto& fp = std::get<crypto::Fp<6>>(*params.field);
   Bytes key(20, 0x33);
-  crypto::BigUint share = DeriveEpochShare(params, key, 3);
+  auto share = DeriveEpochShare(fp, params.share_prf, key, 3);
   EXPECT_GT(share.BitLength(), 160u);
   EXPECT_LE(share.BitLength(), 256u);
   // Domain separation: the share differs from the epoch source key.
-  EXPECT_NE(share, DeriveEpochSourceKey(params, key, 3));
+  EXPECT_NE(share, DeriveEpochSourceKey(fp, key, 3));
 }
 
 TEST(HardenedProfileTest, Sha256SharesNeedWiderPrime) {
@@ -184,38 +212,41 @@ TEST(HardenedProfileTest, ValidateCatchesPrfSizeMismatch) {
 TEST(HardenedProfileTest, EndToEndExactAndSecure) {
   auto params = MakeParams(8, 5, 4, 352, SharePrf::kHmacSha256).value();
   QuerierKeys keys = GenerateKeys(params, {7});
-  // Full pipeline through Source/Querier (they use params.share_prf).
-  crypto::BigUint sum_cipher;
+  const auto& fp = std::get<crypto::Fp<6>>(*params.field);
+  const SharePrf prf = params.share_prf;
+  const auto kt = DeriveEpochGlobalKey(fp, keys.global_key, 1);
+  crypto::UInt<6> sum_cipher;
   uint64_t expected = 0;
   for (uint32_t i = 0; i < 8; ++i) {
     Bytes k_i = keys.source_keys[i];
     uint64_t v = 100 + i;
     expected += v;
-    auto m = PackMessage(params, v, DeriveEpochShare(params, k_i, 1))
-                 .value();
-    auto c = Encrypt(params, m, DeriveEpochGlobalKey(params, keys.global_key, 1),
-                     DeriveEpochSourceKey(params, k_i, 1))
-                 .value();
-    sum_cipher =
-        crypto::BigUint::ModAdd(sum_cipher, c, params.prime).value();
+    auto m = PackMessage(params, v, DeriveEpochShare(fp, prf, k_i, 1)).value();
+    auto c = Encrypt(fp, m, kt, DeriveEpochSourceKey(fp, k_i, 1)).value();
+    sum_cipher = fp.Add(sum_cipher, c);
   }
   // Decrypt + verify by hand (mirrors Querier::Evaluate).
-  crypto::BigUint key_sum, share_sum;
+  crypto::UInt<6> key_sum, share_sum;
   for (uint32_t i = 0; i < 8; ++i) {
-    key_sum = crypto::BigUint::ModAdd(
-                  key_sum,
-                  DeriveEpochSourceKey(params, keys.source_keys[i], 1),
-                  params.prime)
-                  .value();
-    share_sum = crypto::BigUint::Add(
-        share_sum, DeriveEpochShare(params, keys.source_keys[i], 1));
+    key_sum = fp.Add(key_sum, DeriveEpochSourceKey(fp, keys.source_keys[i], 1));
+    crypto::UInt<6>::Add(
+        share_sum, DeriveEpochShare(fp, prf, keys.source_keys[i], 1),
+        &share_sum);
   }
-  auto m = Decrypt(params, sum_cipher,
-                   DeriveEpochGlobalKey(params, keys.global_key, 1), key_sum)
-               .value();
+  auto m = Decrypt(fp, sum_cipher, fp.Inverse(kt).value(), key_sum);
   auto unpacked = UnpackMessage(params, m).value();
   EXPECT_EQ(unpacked.sum, expected);
   EXPECT_EQ(unpacked.share_sum, share_sum);
+  // The fixed-width answer equals the BigUint oracle's.
+  const crypto::BigUint& p = params.prime;
+  const crypto::BigUint m_big =
+      crypto::BigUint::ModMul(
+          crypto::BigUint::ModSub(sum_cipher.ToBigUint(), key_sum.ToBigUint(),
+                                  p)
+              .value(),
+          crypto::BigUint::ModInverse(kt.ToBigUint(), p).value(), p)
+          .value();
+  EXPECT_EQ(m.ToBigUint(), m_big);
 }
 
 }  // namespace
