@@ -154,10 +154,12 @@ struct Pair {
 // One epoch's SIES operands on one prime, as BigUint and as UInt<L>.
 template <size_t L>
 struct Operands {
+  explicit Operands(const sies::crypto::Fp<L>& field) : fp(field) {}
+
   sies::crypto::Fp<L> fp;
   BigUint p, gk, sk, msg, ct, gk_inv, wide;
   sies::crypto::UInt<L> ugk, usk, umsg, uct, ugk_inv;
-  uint64_t uwide[2 * L];
+  uint64_t uwide[2 * L] = {};
 };
 
 // Appends the comparison rows for `params`' prime (an Fp<L>). With
@@ -168,8 +170,8 @@ void AddPairs(const sies::core::Params& params,
               const sies::core::QuerierKeys& keys, bool full,
               const std::string& suffix, std::vector<Pair>* pairs) {
   using namespace sies::core;
-  auto o = std::make_shared<Operands<L>>(Operands<L>{
-      std::get<sies::crypto::Fp<L>>(*params.field)});
+  auto o = std::make_shared<Operands<L>>(
+      std::get<sies::crypto::Fp<L>>(*params.field));
   const auto& fp = o->fp;
   o->ugk = DeriveEpochGlobalKey(fp, keys.global_key, 1);
   o->usk = DeriveEpochSourceKey(fp, keys.source_keys[0], 1);

@@ -31,12 +31,12 @@
 
 namespace {
 
-using sies::telemetry::EpochPhase;
+using sies::telemetry::Phase;
 using sies::telemetry::EpochRecord;
 
 /// Mean of one phase's per-epoch attributed total, in ms.
 double MeanPhaseMs(const std::vector<EpochRecord>& records,
-                   EpochPhase phase) {
+                   Phase phase) {
   if (records.empty()) return 0.0;
   double sum = 0.0;
   for (const EpochRecord& r : records) {
@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   const double probe_derive_ms =
-      MeanPhaseMs(probe_records, EpochPhase::kKeyDerive);
+      MeanPhaseMs(probe_records, Phase::kKeyDerive);
   const uint32_t pacing_ms = static_cast<uint32_t>(
       std::max(5.0, std::ceil(probe_derive_ms * 1.5 + 2.0)));
 
@@ -149,9 +149,9 @@ int main(int argc, char** argv) {
   const double serial_wall_ms = MeanWallMs(serial_records);
   const double serial_phase_sum_ms = MeanAttributedMs(serial_records);
   const double serial_derive_ms =
-      MeanPhaseMs(serial_records, EpochPhase::kKeyDerive);
+      MeanPhaseMs(serial_records, Phase::kKeyDerive);
   const double serial_verify_ms =
-      MeanPhaseMs(serial_records, EpochPhase::kVerify);
+      MeanPhaseMs(serial_records, Phase::kVerify);
   const double pipelined_wall_ms = MeanWallMs(pipelined_records);
   const bool overlap_won = pipelined_wall_ms < serial_phase_sum_ms;
 
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
     const auto& records = pass == 0 ? sim_records : udp_records;
     const double wall_ms = MeanWallMs(records);
     const double transport_ms =
-        MeanPhaseMs(records, EpochPhase::kTransport);
+        MeanPhaseMs(records, Phase::kTransport);
     const double best_share = BestAttributionShare(records);
     const bool attribution_ok = best_share >= 0.9;
     std::printf("%-10s: wall %.3f ms/epoch, transport %.3f ms, best "

@@ -21,9 +21,10 @@ Two modes share the same row-matching machinery:
                         Neutral metrics (counts such as channel_epochs)
                         must match exactly. For full bench runs only.
 
-Rows are matched by a per-bench key column (op / n / kind / k); benches
-whose baseline has a single keyless row (telemetry_overhead) match by
-position. Fresh runs may have FEWER rows than the baseline (a smoke run
+Rows are matched by per-bench key columns (op / n / kind + threads / k);
+a key that names two rows of one report is a failure, since either row
+could be judged against the other's counterpart. Benches whose baseline
+has a single keyless row (telemetry_overhead) match by position. Fresh runs may have FEWER rows than the baseline (a smoke run
 sweeps fewer points); a baseline row with no fresh counterpart is
 reported but never fails the gate. A fresh bench with no baseline is
 skipped — baselines are opt-in via bench/baselines/.
@@ -43,16 +44,17 @@ import math
 import os
 import sys
 
-# Row-identity column per bench. Benches absent here match by position,
+# Row-identity columns per bench. Benches absent here match by position,
 # which is only sound for single-row reports.
 KEY_COLUMNS = {
-    "micro_crypto": "op",
-    "fig6a_querier_vs_n": "n",
-    "fig6b_querier_vs_domain": "domain_pow10",
-    "batched_crypto": "kind",
-    "engine_multiquery": "k",
-    "transport": "mode",
-    "predicate": "range",
+    "micro_crypto": ("op",),
+    "fig6a_querier_vs_n": ("n",),
+    "fig6b_querier_vs_domain": ("domain_pow10",),
+    # cold_start rows repeat their kind once per thread count.
+    "batched_crypto": ("kind", "threads"),
+    "engine_multiquery": ("k",),
+    "transport": ("mode",),
+    "predicate": ("range",),
 }
 
 # Metrics that must match exactly under --strict (determinism claims,
@@ -99,15 +101,31 @@ def load_report(path):
 
 
 def row_key(bench, row):
-    column = KEY_COLUMNS.get(bench)
-    return row.get(column) if column else None
+    """The row's identity: one value per key column, None when keyless."""
+    columns = KEY_COLUMNS.get(bench)
+    if not columns:
+        return None
+    values = tuple(row.get(c) for c in columns)
+    return values[0] if len(values) == 1 else values
+
+
+def duplicate_keys(bench, report, side):
+    """Yields a failure per key that names more than one row of `report`."""
+    seen = set()
+    for row in report["rows"]:
+        key = row_key(bench, row)
+        if key in seen:
+            yield {"bench": bench, "row": key, "metric": None,
+                   "kind": "duplicate_key",
+                   "detail": f"{bench}[{key}]: key names two {side} rows"}
+        seen.add(key)
 
 
 def compare_rows(bench, key, base_row, fresh_row, strict, slack):
     """Yields failure dicts for one matched row pair."""
     where = f"{bench}[{key}]" if key is not None else bench
     for metric, base_value in base_row.items():
-        if metric == KEY_COLUMNS.get(bench):
+        if metric in KEY_COLUMNS.get(bench, ()):
             continue
         if metric not in fresh_row:
             yield {"bench": bench, "row": key, "metric": metric,
@@ -171,8 +189,9 @@ def compare_bench(name, baseline, fresh, strict, slack):
             "kind": "schema_mismatch",
             "detail": f"{name}: schema {baseline.get('schema')} -> "
                       f"{fresh.get('schema')}"})
-    column = KEY_COLUMNS.get(name)
-    if column:
+    if KEY_COLUMNS.get(name):
+        failures.extend(duplicate_keys(name, baseline, "baseline"))
+        failures.extend(duplicate_keys(name, fresh, "fresh"))
         fresh_by_key = {row_key(name, r): r for r in fresh["rows"]}
         pairs = [(row_key(name, b), b, fresh_by_key.get(row_key(name, b)))
                  for b in baseline["rows"]]

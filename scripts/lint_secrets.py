@@ -74,12 +74,11 @@ SECRET_FALSE_POSITIVE_RE = re.compile(
 )
 
 # Sinks: expressions whose arguments end up on stderr / in exported JSON.
-# ScopedSpan is a sink because span names/labels land verbatim in the
-# exported Chrome trace — spans may carry phase names and epochs, never
-# key bytes.
+# `.Record(` covers the audit trail and Tracer::Record, whose span names
+# land verbatim in the exported Chrome trace — spans carry phase names
+# and epochs, never key bytes.
 SINK_START_RE = re.compile(
-    r"SIES_LOG\s*\(|\.Record\s*\(|\bLogLine\s*\(|std::cerr|std::cout|"
-    r"\bScopedSpan\s+\w+\s*\("
+    r"SIES_LOG\s*\(|\.Record\s*\(|\bLogLine\s*\(|std::cerr|std::cout"
 )
 
 # Key-derivation calls whose result IS key material.

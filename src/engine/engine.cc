@@ -2,27 +2,22 @@
 
 #include <algorithm>
 
-#include "common/timer.h"
 #include "telemetry/epoch_timeline.h"
-#include "telemetry/trace.h"
+#include "telemetry/metrics.h"
+#include "telemetry/phase.h"
 
 namespace sies::engine {
 
 using core::Channel;
 using core::ContributorBitmap;
+using telemetry::Phase;
+using telemetry::PhaseTimer;
 
 namespace {
 
 const char* ChannelKindName(Channel kind) {
-  switch (kind) {
-    case Channel::kSum:
-      return "sum";
-    case Channel::kSumSquares:
-      return "sum_squares";
-    case Channel::kCount:
-      return "count";
-  }
-  return "?";
+  static constexpr const char* kNames[] = {"sum", "sum_squares", "count"};
+  return kNames[static_cast<uint32_t>(kind)];
 }
 
 }  // namespace
@@ -32,7 +27,8 @@ MultiQueryEngine::MultiQueryEngine(core::Params params,
     : params_(std::move(params)),
       source_cache_(std::make_shared<core::EpochKeyCache>()),
       aggregator_(params_),
-      querier_(params_, keys) {
+      querier_(params_, keys),
+      phases_(&telemetry::PhaseHistogramsFor(kSchemeName)) {
   sources_.reserve(params_.num_sources);
   for (uint32_t i = 0; i < params_.num_sources; ++i) {
     sources_.emplace_back(params_, i, core::KeysForSource(keys, i).value());
@@ -120,11 +116,6 @@ StatusOr<Bytes> MultiQueryEngine::CreateSourcePayload(
   if (channels.empty()) {
     return Status::FailedPrecondition("no live queries to serve");
   }
-  // Live-attribution probe: one relaxed load when nobody is watching
-  // (covered by the bench/telemetry_overhead guard).
-  auto& timeline = telemetry::EpochTimeline::Global();
-  const bool attribute = timeline.enabled();
-  Stopwatch phase_watch;
   const size_t width = params_.PsrBytes();
   Bytes body(channels.size() * width);
   for (size_t i = 0; i < channels.size(); ++i) {
@@ -136,22 +127,19 @@ StatusOr<Bytes> MultiQueryEngine::CreateSourcePayload(
     SIES_RETURN_IF_ERROR(sources_[index].CreatePsrInto(
         value.value(), ch.SaltedEpochFor(epoch), body.data() + i * width));
   }
+  // One PSR per channel: one counter update per payload, not per PSR.
+  static telemetry::Counter* psrs =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "sies_source_psr_total", {{"scheme", "SIES"}});
+  psrs->Increment(channels.size());
   ContributorBitmap bitmap(params_.num_sources);
   SIES_RETURN_IF_ERROR(bitmap.Set(index));
-  auto payload = core::SerializeWirePayload(params_, bitmap, body);
-  if (attribute) {
-    timeline.RecordPhase(telemetry::EpochPhase::kPsrCreate,
-                         phase_watch.ElapsedSeconds());
-  }
-  return payload;
+  return core::SerializeWirePayload(params_, bitmap, body);
 }
 
 StatusOr<Bytes> MultiQueryEngine::Merge(
     const std::vector<Bytes>& children) const {
   if (children.empty()) return Status::InvalidArgument("nothing to merge");
-  auto& timeline = telemetry::EpochTimeline::Global();
-  const bool attribute = timeline.enabled();
-  Stopwatch phase_watch;
   const size_t width = params_.PsrBytes();
   const size_t channels = registry_.plan().Count();
   ContributorBitmap bitmap(params_.num_sources);
@@ -176,26 +164,22 @@ StatusOr<Bytes> MultiQueryEngine::Merge(
     SIES_RETURN_IF_ERROR(aggregator_.MergeContiguous(
         scratch.data(), bodies.size(), merged_body.data() + ch * width));
   }
-  auto merged = core::SerializeWirePayload(params_, bitmap, merged_body);
-  if (attribute) {
-    timeline.RecordPhase(telemetry::EpochPhase::kTreeAggregate,
-                         phase_watch.ElapsedSeconds());
-  }
-  return merged;
+  // One channel-wise sum per channel: one counter update per merge.
+  static telemetry::Counter* merges =
+      telemetry::MetricsRegistry::Global().GetCounter(
+          "sies_aggregator_merge_total", {{"scheme", "SIES"}});
+  merges->Increment(channels);
+  return core::SerializeWirePayload(params_, bitmap, merged_body);
 }
 
 StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
     const Bytes& final_payload, uint64_t epoch) const {
-  auto& timeline = telemetry::EpochTimeline::Global();
-  const bool attribute = timeline.enabled();
-  Stopwatch phase_watch;
+  // The network times the whole evaluation; this is its breakdown.
   const auto& channels = registry_.plan().channels();
+  PhaseTimer parse_timer(*phases_, Phase::kWireParse, epoch);
   auto parsed = core::ParseWireEnvelope(params_, final_payload,
                                         channels.size());
-  if (attribute) {
-    timeline.RecordPhase(telemetry::EpochPhase::kWireParse,
-                         phase_watch.ElapsedSeconds());
-  }
+  parse_timer.Stop();
   if (!parsed.ok()) return parsed.status();
   const Bytes& body = parsed.value().body;
   const std::vector<uint32_t> participating =
@@ -213,7 +197,7 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
   };
   std::vector<ChannelEval> evals(channels.size());
   auto eval_one = [&](size_t i) {
-    Stopwatch verify_watch;
+    PhaseTimer verify_timer(*phases_, Phase::kVerify, epoch);
     auto eval =
         querier_.EvaluateSlice(body.data() + i * width, width,
                                channels[i].SaltedEpochFor(epoch),
@@ -224,39 +208,31 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
     }
     evals[i].sum = eval.value().sum;
     evals[i].verified = eval.value().verified;
-    if (attribute) {
-      // Per-channel verify attribution: slot + salt + kind identify the
-      // wire slot, tid shows which pool lane paid for it.
-      telemetry::ChannelVerifySample sample;
-      sample.slot = static_cast<uint32_t>(i);
-      sample.salt_id = channels[i].salt_id;
-      sample.kind = ChannelKindName(channels[i].spec.kind);
-      if (channels[i].spec.bucket.has_value()) {
-        sample.bucket_level = static_cast<int32_t>(
-            channels[i].spec.bucket->interval.level);
-        sample.bucket_index = channels[i].spec.bucket->interval.index;
-      }
-      sample.seconds = verify_watch.ElapsedSeconds();
-      sample.verified = evals[i].verified;
-      sample.tid = telemetry::Tracer::CurrentThreadId();
-      timeline.RecordChannelVerify(sample);
+    // Per-channel verify attribution: slot + salt + kind identify the
+    // wire slot; the probe adds the seconds and the paying pool lane.
+    telemetry::ChannelVerifySample sample{
+        .slot = static_cast<uint32_t>(i),
+        .salt_id = channels[i].salt_id,
+        .kind = ChannelKindName(channels[i].spec.kind),
+        .verified = evals[i].verified};
+    if (channels[i].spec.bucket.has_value()) {
+      sample.bucket_level =
+          static_cast<int32_t>(channels[i].spec.bucket->interval.level);
+      sample.bucket_index = channels[i].spec.bucket->interval.index;
     }
+    verify_timer.Stop(sample);
   };
-  if (pool_ != nullptr || attribute) {
+  if (pool_ != nullptr || telemetry::DrillDownWatched()) {
     // Warm every channel's epoch material from this thread first, so the
     // cold N-way derivations run their group fan-out over the full pool.
     // Reached cold from inside a lane below, they would run inline on
-    // that single lane instead (ThreadPool nesting serializes). With
-    // attribution on, the warm-up also runs in serial mode so that key
-    // derivation lands in its own phase instead of inflating the first
-    // channel's verify sample.
-    phase_watch.Restart();
+    // that single lane instead (ThreadPool nesting serializes). While
+    // the breakdown is watched, the warm-up also runs in serial mode so
+    // that key derivation lands in its own phase instead of inflating
+    // the first channel's verify sample.
+    PhaseTimer derive_timer(*phases_, Phase::kKeyDerive, epoch);
     for (size_t i = 0; i < channels.size(); ++i) {
       querier_.WarmEpoch(channels[i].SaltedEpochFor(epoch));
-    }
-    if (attribute) {
-      timeline.RecordPhase(telemetry::EpochPhase::kKeyDerive,
-                           phase_watch.ElapsedSeconds());
     }
   }
   if (pool_ != nullptr) {
@@ -270,7 +246,7 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
 
   // Assemble per-query outcomes from the shared channel sums. A
   // corrupted channel poisons only the queries whose plan includes it.
-  phase_watch.Restart();
+  PhaseTimer assemble_timer(*phases_, Phase::kAssemble, epoch);
   std::vector<QueryEpochOutcome> outcomes;
   outcomes.reserve(registry_.active().size());
   for (const ActiveQuery& aq : registry_.active()) {
@@ -304,10 +280,6 @@ StatusOr<std::vector<QueryEpochOutcome>> MultiQueryEngine::Evaluate(
     if (!outcome.ok()) return outcome.status();
     outcomes.push_back(
         QueryEpochOutcome{aq.query.query_id, std::move(outcome).value()});
-  }
-  if (attribute) {
-    timeline.RecordPhase(telemetry::EpochPhase::kAssemble,
-                         phase_watch.ElapsedSeconds());
   }
   return outcomes;
 }

@@ -30,8 +30,12 @@
 #include "sies/querier.h"
 #include "sies/session.h"
 #include "sies/source.h"
+#include "telemetry/phase.h"
 
 namespace sies::engine {
+
+/// The scheme the engine reports under (scheduler name, metric label).
+inline constexpr char kSchemeName[] = "SIES_ENGINE";
 
 /// One query's answer for one epoch.
 struct QueryEpochOutcome {
@@ -128,6 +132,7 @@ class MultiQueryEngine {
   std::vector<core::Source> sources_;
   core::Aggregator aggregator_;
   core::Querier querier_;
+  const telemetry::PhaseHistograms* phases_;
   common::ThreadPool* pool_ = nullptr;
 };
 

@@ -70,7 +70,7 @@ class EpochScheduler : public net::AggregationProtocol {
                  const net::Topology& topology, ReadingFn readings);
   ~EpochScheduler() override;
 
-  std::string Name() const override { return "SIES_ENGINE"; }
+  std::string Name() const override { return kSchemeName; }
   StatusOr<Bytes> SourceInitialize(net::NodeId id, uint64_t epoch) override;
   StatusOr<Bytes> AggregatorMerge(
       net::NodeId id, uint64_t epoch,

@@ -5,22 +5,12 @@
 #include <utility>
 
 #include "telemetry/audit.h"
-#include "telemetry/epoch_timeline.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
+#include "telemetry/phase.h"
 
 namespace sies::net {
 
 namespace {
-
-/// Per-scheme, per-phase wall-time histograms. Registered once per
-/// (scheme, phase) pair; the registry hands back stable pointers so
-/// repeated RunEpoch calls pay only one mutexed lookup per phase.
-telemetry::Histogram* PhaseHistogram(const std::string& scheme,
-                                     const char* phase) {
-  return telemetry::MetricsRegistry::Global().GetHistogram(
-      "sies_phase_seconds", {{"scheme", scheme}, {"phase", phase}});
-}
 
 telemetry::Counter* DropCounter(const char* cause) {
   return telemetry::MetricsRegistry::Global().GetCounter(
@@ -52,17 +42,17 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   report.node_tx_bytes.assign(topology_.num_nodes(), 0);
   report.node_rx_bytes.assign(topology_.num_nodes(), 0);
 
-  const std::string scheme = protocol.Name();
-  telemetry::Histogram* source_hist = PhaseHistogram(scheme, "source_init");
-  telemetry::Histogram* merge_hist = PhaseHistogram(scheme, "merge");
-  telemetry::Histogram* eval_hist = PhaseHistogram(scheme, "evaluate");
+  // Every party's interval is timed once, by the phase probe.
+  using telemetry::Phase;
+  using telemetry::PhaseTimer;
+  const telemetry::PhaseHistograms& phases =
+      telemetry::PhaseHistogramsFor(protocol.Name());
   telemetry::AuditTrail& audit = telemetry::AuditTrail::Global();
 
   // Payload arriving at each node's parent slot, keyed by child id.
   std::unordered_map<NodeId, Bytes> inbox;
 
   Transport& transport = this->transport();
-  auto& timeline = telemetry::EpochTimeline::Global();
 
   auto deliver = [&](NodeId from, NodeId to, Bytes payload,
                      EdgeTraffic& traffic) -> StatusOr<bool> {
@@ -72,13 +62,9 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
     // (for real backends) the payload's actual journey over sockets.
     // Deliveries stay serial and in a fixed order — the determinism
     // contract both backends' loss models are built on.
-    const bool attribute = timeline.enabled();
-    Stopwatch transport_watch;
+    PhaseTimer transport_timer(phases, Phase::kTransport, epoch);
     auto result = transport.Deliver(from, to, epoch, std::move(payload));
-    if (attribute) {
-      timeline.RecordPhase(telemetry::EpochPhase::kTransport,
-                           transport_watch.ElapsedSeconds());
-    }
+    transport_timer.Stop();
     if (!result.ok()) return result.status();
     Delivery& delivery = result.value();
     const uint32_t attempts = delivery.attempts;
@@ -155,12 +141,11 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
                                     Status::Internal("psr not produced"));
   std::vector<double> psr_seconds(live.size(), 0.0);
   auto create_one = [&](size_t i) {
-    // The span lives on the worker thread, so a `--threads` run shows
-    // overlapping source-init spans in the Chrome trace.
-    telemetry::ScopedSpan span("source-init", "phase", epoch);
-    Stopwatch psr_watch;
+    // Timed on the worker thread, so a `--threads` run shows overlapping
+    // source_init spans in the Chrome trace.
+    PhaseTimer timer(phases, Phase::kSourceInit, epoch);
     psrs[i] = protocol.SourceInitialize(live[i], epoch);
-    psr_seconds[i] = psr_watch.ElapsedSeconds();
+    psr_seconds[i] = timer.Stop();
   };
   if (pool_ != nullptr && protocol.ParallelSourceInitSafe()) {
     pool_->ParallelFor(live.size(), create_one);
@@ -169,7 +154,6 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
   }
   for (size_t i = 0; i < live.size(); ++i) {
     report.source_cpu.Add(psr_seconds[i]);
-    source_hist->Observe(psr_seconds[i]);
     if (!psrs[i].ok()) return psrs[i].status();
     NodeId src = live[i];
     NodeId parent = topology_.parent(src);
@@ -179,8 +163,6 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
     auto sent = deliver(src, parent, std::move(psrs[i]).value(), traffic);
     if (!sent.ok()) return sent.status();
   }
-
-  Stopwatch watch;
 
   // --- Merging phase: aggregators fuse children payloads bottom-up. ---
   for (NodeId agg : topology_.aggregators_bottom_up()) {
@@ -193,15 +175,9 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
       }
     }
     if (received.empty()) continue;  // all children failed/dropped
-    watch.Restart();
-    StatusOr<Bytes> merged = Status::Internal("merge not run");
-    {
-      telemetry::ScopedSpan span("merge", "phase", epoch);
-      merged = protocol.AggregatorMerge(agg, epoch, received);
-    }
-    const double merge_seconds = watch.ElapsedSeconds();
-    report.aggregator_cpu.Add(merge_seconds);
-    merge_hist->Observe(merge_seconds);
+    PhaseTimer timer(phases, Phase::kMerge, epoch);
+    StatusOr<Bytes> merged = protocol.AggregatorMerge(agg, epoch, received);
+    report.aggregator_cpu.Add(timer.Stop());
     if (!merged.ok()) return merged.status();
     NodeId parent = topology_.parent(agg);
     EdgeTraffic& traffic = (parent == kQuerierId)
@@ -239,15 +215,10 @@ StatusOr<EpochReport> Network::RunEpoch(AggregationProtocol& protocol,
     unanswered->Increment();
     return report;
   }
-  watch.Restart();
-  StatusOr<EvalOutcome> outcome = Status::Internal("evaluate not run");
-  {
-    telemetry::ScopedSpan span("evaluate", "phase", epoch);
-    outcome = protocol.QuerierEvaluate(epoch, it->second, participating);
-  }
-  const double eval_seconds = watch.ElapsedSeconds();
-  report.querier_cpu.Add(eval_seconds);
-  eval_hist->Observe(eval_seconds);
+  PhaseTimer timer(phases, Phase::kEvaluate, epoch);
+  StatusOr<EvalOutcome> outcome =
+      protocol.QuerierEvaluate(epoch, it->second, participating);
+  report.querier_cpu.Add(timer.Stop());
   if (!outcome.ok()) return outcome.status();
   report.outcome = std::move(outcome).value();
   report.contributing_sources =

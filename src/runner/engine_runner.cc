@@ -8,7 +8,7 @@
 #include "net/udp_transport.h"
 #include "ops/admin_server.h"
 #include "telemetry/epoch_timeline.h"
-#include "telemetry/trace.h"
+#include "telemetry/phase.h"
 
 namespace sies::runner {
 
@@ -118,7 +118,6 @@ StatusOr<EngineExperimentResult> RunEngineExperiment(
     result.queries.push_back(std::move(stats));
   }
 
-  auto& timeline = telemetry::EpochTimeline::Global();
   // Runs at the END of every epoch iteration, including idle and
   // unanswered ones: liveness stamp, test hook, pacing sleep.
   auto finish_epoch = [&](uint64_t epoch, bool verified,
@@ -175,9 +174,7 @@ StatusOr<EngineExperimentResult> RunEngineExperiment(
       }
     }
 
-    const bool attribute = timeline.enabled();
-    if (attribute) timeline.BeginEpoch(epoch);
-    telemetry::ScopedSpan span("epoch", "engine-runner", epoch);
+    telemetry::EpochScope scope(epoch);
     auto report = network.RunEpoch(scheduler, epoch);
     if (!report.ok()) return report.status();
     const net::EpochReport& r = report.value();
@@ -211,17 +208,13 @@ StatusOr<EngineExperimentResult> RunEngineExperiment(
     if (config.on_epoch_outcomes) {
       config.on_epoch_outcomes(epoch, r.answered, scheduler.last_outcomes());
     }
-    if (attribute) {
-      telemetry::EpochVerdict verdict;
-      verdict.answered = r.answered;
-      verdict.verified = epoch_verified;
-      verdict.coverage = r.coverage;
-      verdict.live_queries =
-          static_cast<uint32_t>(eng->registry().active().size());
-      verdict.contributors = r.contributing_sources;
-      verdict.expected_contributors = r.expected_contributors;
-      timeline.EndEpoch(verdict);
-    }
+    scope.End({.answered = r.answered,
+               .verified = epoch_verified,
+               .coverage = r.coverage,
+               .live_queries =
+                   static_cast<uint32_t>(eng->registry().active().size()),
+               .contributors = r.contributing_sources,
+               .expected_contributors = r.expected_contributors});
     if (admin && epoch == 1) {
       // First round derived + cached every live channel's epoch keys.
       admin->SetKeysWarm(true);

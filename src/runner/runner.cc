@@ -4,7 +4,8 @@
 
 #include "crypto/prime.h"
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
+#include "telemetry/epoch_timeline.h"
+#include "telemetry/phase.h"
 
 namespace sies::runner {
 
@@ -355,10 +356,16 @@ StatusOr<ExperimentResult> RunExperiment(const ExperimentConfig& config) {
   double error_sum = 0.0;
   double coverage_sum = 0.0;
   for (uint64_t epoch = 1; epoch <= config.epochs; ++epoch) {
-    telemetry::ScopedSpan span("epoch", "runner", epoch);
+    telemetry::EpochScope scope(epoch);
     auto report = network.RunEpoch(*protocol, epoch);
     if (!report.ok()) return report.status();
     const net::EpochReport& r = report.value();
+    scope.End({.answered = r.answered,
+               .verified = r.answered && r.outcome.verified,
+               .coverage = r.coverage,
+               .live_queries = 1,
+               .contributors = r.contributing_sources,
+               .expected_contributors = r.expected_contributors});
     epochs_total->Increment();
     src.Add(r.source_cpu.MeanSeconds());
     agg.Add(r.aggregator_cpu.MeanSeconds());

@@ -2,19 +2,11 @@
 
 #include <utility>
 
-#include "telemetry/metrics.h"
-#include "telemetry/trace.h"
-
 namespace sies::core {
 
 template <typename PsrAt>
 Status Aggregator::Sum(size_t count, PsrAt psr_at, uint8_t* out) const {
   if (count == 0) return Status::InvalidArgument("nothing to merge");
-  static telemetry::Counter* merges =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "sies_aggregator_merge_total", {{"scheme", "SIES"}});
-  merges->Increment();
-  telemetry::ScopedSpan span("merge-add", "aggregator", /*epoch=*/0);
   return params_.WithField([&](const auto& fp) -> Status {
     auto parse = [&](size_t i) {
       const auto [data, size] = psr_at(i);

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace sies::core {
 
@@ -84,7 +83,6 @@ std::shared_ptr<const EpochKeyCache::GlobalEntry<L>> EpochKeyCache::Global(
   }
   misses->Increment();
   global_misses_.fetch_add(1, std::memory_order_relaxed);
-  telemetry::ScopedSpan span("key-derivation", "cache", epoch);
 
   auto entry = std::make_shared<GlobalEntry<L>>();
   entry->key = DeriveEpochGlobalKey(fp, global_key, epoch);
@@ -118,8 +116,7 @@ std::shared_ptr<const EpochKeyCache::SourceEntry<L>> EpochKeyCache::Sources(
   misses->Increment();
   source_misses_.fetch_add(1, std::memory_order_relaxed);
   // The cold-epoch N-way k_{i,t}/ss_{i,t} derivation — the querier's
-  // "share-recompute" phase in the paper's cost model.
-  telemetry::ScopedSpan span("share-recompute", "cache", epoch);
+  // share-recompute cost in the paper's cost model.
 
   auto entry = std::make_shared<SourceEntry<L>>();
   const size_t n = keys.size();

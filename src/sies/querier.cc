@@ -5,7 +5,6 @@
 #include <type_traits>
 
 #include "telemetry/metrics.h"
-#include "telemetry/trace.h"
 
 namespace sies::core {
 
@@ -74,7 +73,6 @@ StatusOr<Evaluation> Querier::EvaluateCore(
 
   const QuerierMetrics& metrics = QuerierMetrics::Get();
   metrics.evaluations->Increment();
-  telemetry::ScopedSpan span("evaluate-decrypt", "querier", epoch);
   return params_.WithField([&](const auto& fp) -> StatusOr<Evaluation> {
     auto ciphertext = ParsePsr(fp, body, body_len);
     if (!ciphertext.ok()) return ciphertext.status();

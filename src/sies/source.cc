@@ -1,17 +1,9 @@
 #include "sies/source.h"
 
-#include "telemetry/metrics.h"
-#include "telemetry/trace.h"
-
 namespace sies::core {
 
 Status Source::CreatePsrInto(uint64_t value, uint64_t epoch,
                              uint8_t* out) const {
-  static telemetry::Counter* psrs =
-      telemetry::MetricsRegistry::Global().GetCounter(
-          "sies_source_psr_total", {{"scheme", "SIES"}});
-  psrs->Increment();
-  telemetry::ScopedSpan span("psr-encrypt", "source", epoch);
   return params_.WithField([&](const auto& fp) -> Status {
     const auto epoch_global =
         cache_ != nullptr

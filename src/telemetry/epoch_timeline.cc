@@ -9,12 +9,6 @@ namespace sies::telemetry {
 
 namespace {
 
-double SecondsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 void AppendDouble(std::string& out, double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", value);
@@ -22,26 +16,6 @@ void AppendDouble(std::string& out, double value) {
 }
 
 }  // namespace
-
-const char* EpochPhaseName(EpochPhase phase) {
-  switch (phase) {
-    case EpochPhase::kKeyDerive:
-      return "key_derive";
-    case EpochPhase::kPsrCreate:
-      return "psr_create";
-    case EpochPhase::kTreeAggregate:
-      return "tree_aggregate";
-    case EpochPhase::kWireParse:
-      return "wire_parse";
-    case EpochPhase::kVerify:
-      return "verify";
-    case EpochPhase::kAssemble:
-      return "assemble";
-    case EpochPhase::kTransport:
-      return "transport";
-  }
-  return "?";
-}
 
 void EpochTimeline::SetCapacity(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -61,57 +35,42 @@ void EpochTimeline::BeginEpoch(uint64_t epoch) {
   current_.epoch = epoch;
   for (auto& lanes : lanes_) lanes.clear();
   open_ = true;
-  epoch_start_ = std::chrono::steady_clock::now();
 }
 
-void EpochTimeline::RecordPhase(EpochPhase phase, double seconds) {
+void EpochTimeline::Record(Phase phase, double seconds,
+                           const ChannelVerifySample* channel) {
   if (!enabled()) return;
-  const uint32_t tid = Tracer::CurrentThreadId();
+  // A channel sample declares the lane that paid for its verify.
+  const uint32_t tid =
+      channel != nullptr ? channel->tid : Tracer::CurrentThreadId();
   std::lock_guard<std::mutex> lock(mu_);
   if (!open_) return;
-  RecordPhaseLocked(phase, seconds, tid);
-}
-
-void EpochTimeline::RecordPhaseLocked(EpochPhase phase, double seconds,
-                                      uint32_t tid) {
   PhaseStat& stat = current_.phases[static_cast<size_t>(phase)];
   stat.total_seconds += seconds;
   stat.max_call_seconds = std::max(stat.max_call_seconds, seconds);
   ++stat.calls;
-  std::vector<LaneAcc>& lanes = lanes_[static_cast<size_t>(phase)];
-  for (LaneAcc& lane : lanes) {
-    if (lane.tid == tid) {
-      lane.seconds += seconds;
-      return;
-    }
+  if (channel != nullptr) {
+    current_.channels.push_back(*channel);
+    if (!channel->verified) ++current_.tampered_channels;
   }
-  lanes.push_back(LaneAcc{tid, seconds});
+  std::vector<LaneAcc>& lanes = lanes_[static_cast<size_t>(phase)];
+  auto lane = std::find_if(lanes.begin(), lanes.end(),
+                           [tid](const LaneAcc& l) { return l.tid == tid; });
+  if (lane == lanes.end()) {
+    lanes.push_back(LaneAcc{tid, seconds});
+  } else {
+    lane->seconds += seconds;
+  }
 }
 
-void EpochTimeline::RecordChannelVerify(const ChannelVerifySample& sample) {
-  if (!enabled()) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!open_) return;
-  // The sample declares its own lane (sample.tid) — critical-path math
-  // must follow the lane that paid for the verify, not whoever relays
-  // the sample.
-  RecordPhaseLocked(EpochPhase::kVerify, sample.seconds, sample.tid);
-  current_.channels.push_back(sample);
-  if (!sample.verified) ++current_.tampered_channels;
-}
-
-void EpochTimeline::EndEpoch(const EpochVerdict& verdict) {
+void EpochTimeline::EndEpoch(const EpochVerdict& verdict,
+                             double wall_seconds) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (!open_) return;
   open_ = false;
-  current_.wall_seconds = SecondsSince(epoch_start_);
-  current_.answered = verdict.answered;
-  current_.verified = verdict.verified;
-  current_.coverage = verdict.coverage;
-  current_.live_queries = verdict.live_queries;
-  current_.contributors = verdict.contributors;
-  current_.expected_contributors = verdict.expected_contributors;
+  current_.wall_seconds = wall_seconds;
+  static_cast<EpochVerdict&>(current_) = verdict;
   // Channel samples arrive in pool-completion order; serve them in wire
   // order so consecutive scrapes of the same epoch compare equal.
   std::stable_sort(current_.channels.begin(), current_.channels.end(),
@@ -119,14 +78,16 @@ void EpochTimeline::EndEpoch(const EpochVerdict& verdict) {
                       const ChannelVerifySample& b) { return a.slot < b.slot; });
   double attributed = 0.0;
   double critical = 0.0;
-  for (size_t p = 0; p < kEpochPhaseCount; ++p) {
+  for (size_t p = 0; p < kPhaseCount; ++p) {
     PhaseStat& stat = current_.phases[p];
-    attributed += stat.total_seconds;
     double lane_max = 0.0;
     for (const LaneAcc& lane : lanes_[p]) {
       lane_max = std::max(lane_max, lane.seconds);
     }
     stat.lane_max_seconds = lane_max;
+    // The evaluate breakdown is already inside evaluate's interval.
+    if (WithinEvaluate(static_cast<Phase>(p))) continue;
+    attributed += stat.total_seconds;
     critical += lane_max;
   }
   current_.attributed_seconds = attributed;
@@ -189,12 +150,15 @@ std::string EpochTimeline::ToJson(size_t last_k) const {
            std::to_string(r.expected_contributors);
     out += ", \"tampered_channels\": " + std::to_string(r.tampered_channels);
     out += ",\n   \"phases\": [";
-    for (size_t p = 0; p < kEpochPhaseCount; ++p) {
+    for (size_t p = 0; p < kPhaseCount; ++p) {
       const PhaseStat& stat = r.phases[p];
+      const Phase phase = static_cast<Phase>(p);
       if (p > 0) out += ", ";
       out += "{\"phase\": \"";
-      out += EpochPhaseName(static_cast<EpochPhase>(p));
-      out += "\", \"total_seconds\": ";
+      out += PhaseName(phase);
+      out += "\"";
+      if (WithinEvaluate(phase)) out += ", \"within\": \"evaluate\"";
+      out += ", \"total_seconds\": ";
       AppendDouble(out, stat.total_seconds);
       out += ", \"lane_max_seconds\": ";
       AppendDouble(out, stat.lane_max_seconds);

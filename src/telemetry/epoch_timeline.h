@@ -1,59 +1,37 @@
-// EpochTimeline: per-epoch latency attribution for the live ops plane.
+// EpochTimeline: per-epoch latency attribution for the live ops plane,
+// answering mid-run "where did THIS epoch's time go". The phase probe
+// (telemetry/phase.h) feeds it, so its phases are the trace's spans and
+// the `sies_phase_seconds` observations under the same names. Each phase
+// accumulates total seconds, calls, the slowest call and the busiest
+// lane (thread); attribution and the critical path sum the four
+// top-level phases only, since the evaluate breakdown lies inside
+// evaluate. Per-channel verify samples keep their slot / salt / kind
+// identity. Finished epochs land in a bounded ring (default 256) served
+// by the admin server's `GET /epochs?last=K`.
 //
-// The tracer answers "show me every span of one finished run"; the
-// timeline answers the operator's question mid-run: "where did THIS
-// epoch's time go". Every epoch is decomposed into named phases
-// (key-derive, PSR-create, tree-aggregate, wire-parse, per-channel
-// verify, assemble); each phase accumulates total attributed seconds,
-// call count, the slowest single call, and — for phases fanned out over
-// the ThreadPool — the busiest lane, from which EndEpoch computes the
-// epoch's critical path (Σ per-phase busiest-lane times, a lower bound
-// on wall time by construction). Per-channel verify samples keep their
-// slot / salt / kind identity so a tampered channel's cost is
-// attributable to the exact wire slot that burned it.
-//
-// Finished epochs land in a bounded ring buffer (default 256 records)
-// served by the admin server's `GET /epochs?last=K`.
-//
-// Recording is OFF by default; a disabled timeline costs one relaxed
-// atomic load per probe (guarded by bench/telemetry_overhead). An
-// enabled timeline takes a mutex per probe — the opt-in price of live
-// attribution, paid only while an operator is watching.
+// Recording is OFF by default (one relaxed load per probe); an enabled
+// timeline takes a mutex per interval.
 #ifndef SIES_TELEMETRY_EPOCH_TIMELINE_H_
 #define SIES_TELEMETRY_EPOCH_TIMELINE_H_
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "telemetry/phase.h"
+
 namespace sies::telemetry {
-
-/// Where an epoch's time can go. Order is export order.
-enum class EpochPhase : uint8_t {
-  kKeyDerive = 0,     ///< epoch key/share derivation (querier warm-up)
-  kPsrCreate = 1,     ///< per-source envelope construction
-  kTreeAggregate = 2, ///< aggregator merges, whole tree
-  kWireParse = 3,     ///< final envelope parse at the querier
-  kVerify = 4,        ///< per-channel decrypt + verify fan-out
-  kAssemble = 5,      ///< per-query outcome assembly from channel sums
-  kTransport = 6,     ///< link-layer delivery (sim loss model or real UDP)
-};
-inline constexpr size_t kEpochPhaseCount = 7;
-
-/// Stable lowercase name ("key_derive", "psr_create", ...).
-const char* EpochPhaseName(EpochPhase phase);
 
 /// One phase's accumulated attribution within one epoch.
 struct PhaseStat {
   double total_seconds = 0.0;     ///< Σ over calls (CPU view)
   double max_call_seconds = 0.0;  ///< slowest single call
-  /// Busiest thread's share of total_seconds — the phase's contribution
-  /// to the critical path. Equals total_seconds for serial phases.
+  /// Busiest thread's share of total_seconds (a top-level phase's
+  /// critical-path share; total_seconds for serial phases).
   double lane_max_seconds = 0.0;
   uint64_t calls = 0;
 };
@@ -83,25 +61,19 @@ struct EpochVerdict {
   uint32_t expected_contributors = 0;
 };
 
-/// One finished epoch, as served by `GET /epochs`.
-struct EpochRecord {
+/// One finished epoch with its run-loop verdict, as `GET /epochs` serves.
+struct EpochRecord : EpochVerdict {
   uint64_t epoch = 0;
   double wall_seconds = 0.0;
-  /// Σ phase totals: how much of the wall the probes explain.
+  /// Σ top-level phase totals: how much of the wall the probes explain.
   double attributed_seconds = 0.0;
-  /// Σ per-phase busiest-lane times, clamped to wall_seconds (clock
-  /// noise on sub-microsecond phases must not report a critical path
-  /// longer than the epoch itself).
+  /// Σ top-level per-phase busiest-lane times, clamped to wall_seconds
+  /// (clock noise on sub-microsecond phases must not report a critical
+  /// path longer than the epoch itself).
   double critical_path_seconds = 0.0;
-  std::array<PhaseStat, kEpochPhaseCount> phases{};
+  std::array<PhaseStat, kPhaseCount> phases{};
   std::vector<ChannelVerifySample> channels;  ///< wire-slot order
   uint32_t tampered_channels = 0;  ///< channels with verified == false
-  bool answered = false;
-  bool verified = false;
-  double coverage = 0.0;
-  uint32_t live_queries = 0;
-  uint32_t contributors = 0;
-  uint32_t expected_contributors = 0;
 };
 
 class EpochTimeline {
@@ -120,17 +92,18 @@ class EpochTimeline {
   /// next one.
   void BeginEpoch(uint64_t epoch);
 
-  /// Accumulates `seconds` into `phase` of the open record. Safe to
-  /// call from pool lanes; no-op while disabled or with no open record.
-  void RecordPhase(EpochPhase phase, double seconds);
+  /// Accumulates `seconds` into `phase` of the open record, on the
+  /// calling thread's lane or, with a `channel` verify sample, on the
+  /// sample's lane (keeping the sample). Safe to call from pool lanes;
+  /// no-op while disabled or with no open record.
+  void Record(Phase phase, double seconds,
+              const ChannelVerifySample* channel = nullptr);
 
-  /// Records one channel verification (also accumulates into kVerify).
-  void RecordChannelVerify(const ChannelVerifySample& sample);
-
-  /// Seals the open record with the run loop's verdicts, computes the
-  /// critical path, and pushes it into the ring (evicting the oldest
-  /// record when full). No-op while disabled or with no open record.
-  void EndEpoch(const EpochVerdict& verdict);
+  /// Seals the open record with the run loop's verdicts and the epoch's
+  /// wall time, computes the critical path, and pushes it into the ring
+  /// (evicting the oldest record when full). No-op while disabled or
+  /// with no open record.
+  void EndEpoch(const EpochVerdict& verdict, double wall_seconds);
 
   /// The most recent min(k, size()) finished epochs, oldest first.
   std::vector<EpochRecord> Last(size_t k) const;
@@ -158,9 +131,6 @@ class EpochTimeline {
     double seconds = 0.0;
   };
 
-  /// Shared accumulation path; caller holds mu_ with an open record.
-  void RecordPhaseLocked(EpochPhase phase, double seconds, uint32_t tid);
-
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
   size_t capacity_ = 256;
@@ -168,8 +138,7 @@ class EpochTimeline {
   uint64_t epochs_recorded_ = 0;
   bool open_ = false;
   EpochRecord current_;
-  std::array<std::vector<LaneAcc>, kEpochPhaseCount> lanes_;
-  std::chrono::steady_clock::time_point epoch_start_{};
+  std::array<std::vector<LaneAcc>, kPhaseCount> lanes_;
 };
 
 }  // namespace sies::telemetry

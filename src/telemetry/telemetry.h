@@ -1,21 +1,19 @@
-// Umbrella header for the telemetry layer: metrics registry, phase
-// tracer, and security audit trail (see docs/OBSERVABILITY.md for
-// metric names, label conventions, and exporter formats).
+// Umbrella header for the telemetry layer: metrics registry, the phase
+// probe with its tracer and epoch-timeline sinks, and the security audit
+// trail (see docs/OBSERVABILITY.md for names, labels and formats).
 //
-// The layer is compiled in unconditionally and designed to be cheap
-// when nothing reads it:
-//   * counters/gauges/histograms update via relaxed atomics (always on;
-//     an unread registry is the no-op sink),
-//   * spans and audit events are gated behind a relaxed atomic "enabled"
-//     flag (off by default),
-//   * bench/telemetry_overhead guards the total at <2% of the fig6a
-//     warm-evaluate hot path with sinks disabled.
+// Compiled in unconditionally and cheap when nothing reads it: metrics
+// are relaxed atomics (an unread registry is the no-op sink); spans,
+// timeline records and audit events sit behind a relaxed "enabled" flag
+// (off by default); bench/telemetry_overhead guards the disabled probes
+// of one warm evaluation at <2% of that evaluation.
 #ifndef SIES_TELEMETRY_TELEMETRY_H_
 #define SIES_TELEMETRY_TELEMETRY_H_
 
 #include "telemetry/audit.h"
 #include "telemetry/epoch_timeline.h"
 #include "telemetry/metrics.h"
+#include "telemetry/phase.h"
 #include "telemetry/trace.h"
 
 namespace sies::telemetry {

@@ -1,23 +1,8 @@
 #include "telemetry/trace.h"
 
-#include <chrono>
-
 namespace sies::telemetry {
 
-namespace {
-uint64_t SteadyNowNanos() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-}  // namespace
-
-Tracer::Tracer() : base_ns_(SteadyNowNanos()) {}
-
-uint64_t Tracer::NowMicros() const {
-  return (SteadyNowNanos() - base_ns_) / 1000;
-}
+Tracer::Tracer() : base_(std::chrono::steady_clock::now()) {}
 
 void Tracer::Reset() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -25,13 +10,18 @@ void Tracer::Reset() {
 }
 
 void Tracer::Record(const char* name, const char* category, uint64_t epoch,
-                    uint64_t ts_us, uint64_t dur_us) {
+                    std::chrono::steady_clock::time_point start,
+                    std::chrono::steady_clock::time_point stop) {
+  auto micros = [](std::chrono::steady_clock::duration d) {
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(d).count());
+  };
   SpanEvent event;
   event.name = name;
   event.category = category;
   event.epoch = epoch;
-  event.ts_us = ts_us;
-  event.dur_us = dur_us;
+  event.ts_us = start <= base_ ? 0 : micros(start - base_);
+  event.dur_us = micros(stop - start);
   event.tid = CurrentThreadId();
   std::lock_guard<std::mutex> lock(mu_);
   events_.push_back(event);

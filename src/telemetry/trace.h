@@ -1,17 +1,17 @@
-// Phase tracer: per-epoch span events (source-init, merge, evaluate,
-// key-derivation, share-recompute, ...) with a Chrome trace_event
-// exporter, so a run opened in about://tracing (or ui.perfetto.dev)
-// shows the simulator's phases per thread — including the overlapping
-// source-init spans produced by `--threads` fan-out.
+// Phase tracer: per-epoch span events with a Chrome trace_event
+// exporter (about://tracing, ui.perfetto.dev), one lane per thread — a
+// `--threads` run shows its source_init spans overlap. The phase probe
+// (telemetry/phase.h) records every span: one per timed phase interval,
+// named like its histogram and `/epochs` phase, plus one "epoch" span
+// per run-loop epoch.
 //
-// Tracing is OFF by default. A disabled tracer costs one relaxed atomic
-// load per ScopedSpan construction and nothing else: no clock reads, no
-// allocation, no lock. Recording takes a mutex per completed span —
-// acceptable for a tracer that exists to be read by a human.
+// Tracing is OFF by default (one relaxed load per probe). Recording
+// takes a mutex per completed span — fine for a trace a human reads.
 #ifndef SIES_TELEMETRY_TRACE_H_
 #define SIES_TELEMETRY_TRACE_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -41,12 +41,12 @@ class Tracer {
   /// Drops all recorded spans (does not change enabled state).
   void Reset();
 
-  /// Microseconds since tracer construction (monotonic clock).
-  uint64_t NowMicros() const;
-
-  /// Records one completed span; thread id is captured from the caller.
+  /// Records the completed span [start, stop] in whole microseconds
+  /// (a start before the tracer existed reads 0); the thread id is the
+  /// caller's.
   void Record(const char* name, const char* category, uint64_t epoch,
-              uint64_t ts_us, uint64_t dur_us);
+              std::chrono::steady_clock::time_point start,
+              std::chrono::steady_clock::time_point stop);
 
   std::vector<SpanEvent> Events() const;
   size_t size() const;
@@ -63,38 +63,9 @@ class Tracer {
 
  private:
   std::atomic<bool> enabled_{false};
-  uint64_t base_ns_ = 0;  // steady_clock at construction
+  std::chrono::steady_clock::time_point base_;  // at construction
   mutable std::mutex mu_;
   std::vector<SpanEvent> events_;
-};
-
-/// RAII span: captures the start time on construction (only if the
-/// tracer is enabled) and records on destruction.
-class ScopedSpan {
- public:
-  ScopedSpan(const char* name, const char* category, uint64_t epoch,
-             Tracer& tracer = Tracer::Global())
-      : tracer_(tracer.enabled() ? &tracer : nullptr),
-        name_(name),
-        category_(category),
-        epoch_(epoch) {
-    if (tracer_ != nullptr) start_us_ = tracer_->NowMicros();
-  }
-  ~ScopedSpan() {
-    if (tracer_ != nullptr) {
-      tracer_->Record(name_, category_, epoch_, start_us_,
-                      tracer_->NowMicros() - start_us_);
-    }
-  }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-
- private:
-  Tracer* tracer_;
-  const char* name_;
-  const char* category_;
-  uint64_t epoch_;
-  uint64_t start_us_ = 0;
 };
 
 }  // namespace sies::telemetry

@@ -65,7 +65,9 @@ TEST_F(CmtTest, EpochKeysRotate) {
   // Decrypting with the wrong epoch gives garbage: either a wrong value,
   // or a 160-bit residue that does not even fit the 64-bit result.
   auto wrong = querier_.Decrypt(c1, 2, {0});
-  if (wrong.ok()) EXPECT_NE(wrong.value(), 100u);
+  if (wrong.ok()) {
+    EXPECT_NE(wrong.value(), 100u);
+  }
 }
 
 TEST_F(CmtTest, MergeAssociative) {

@@ -125,7 +125,9 @@ TEST(PaillierKeyGenTest, CiphertextsOfOtherKeysDoNotDecrypt) {
   BigUint c = k1.public_key().Encrypt(BigUint(777), rng).value();
   auto wrong = k2.Decrypt(BigUint::Mod(c, k2.public_key().n_squared())
                               .value());
-  if (wrong.ok()) EXPECT_NE(wrong.value(), BigUint(777));
+  if (wrong.ok()) {
+    EXPECT_NE(wrong.value(), BigUint(777));
+  }
 }
 
 }  // namespace

@@ -28,7 +28,9 @@
 #include "common/thread_pool.h"
 #include "engine/engine.h"
 #include "telemetry/audit.h"
+#include "telemetry/epoch_timeline.h"
 #include "telemetry/metrics.h"
+#include "telemetry/phase.h"
 #include "telemetry/trace.h"
 #include "workload/workload.h"
 
@@ -90,7 +92,7 @@ void DriveEngine(uint64_t seed, common::ThreadPool* pool,
           "race stress tears q1 down");
     }
 
-    telemetry::ScopedSpan span("race_epoch", "engine", epoch);
+    telemetry::EpochScope scope(epoch);
     std::vector<Bytes> payloads;
     for (uint32_t i = 0; i < kN; ++i) {
       auto p = eng.CreateSourcePayload(i, trace.ReadingAt(i, epoch), epoch);
@@ -101,9 +103,14 @@ void DriveEngine(uint64_t seed, common::ThreadPool* pool,
     if (!merged.ok()) { failed->store(true); return; }
     auto outcomes = eng.Evaluate(merged.value(), epoch);
     if (!outcomes.ok()) { failed->store(true); return; }
+    telemetry::EpochVerdict verdict;
+    verdict.answered = true;
+    verdict.verified = true;
     for (const QueryEpochOutcome& out : outcomes.value()) {
-      if (!out.outcome.verified) failed->store(true);
+      if (!out.outcome.verified) verdict.verified = false;
     }
+    if (!verdict.verified) failed->store(true);
+    scope.End(verdict);
     epochs_run->Increment();
   }
 }

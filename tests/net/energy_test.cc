@@ -21,7 +21,7 @@ class FixedWidthProtocol : public AggregationProtocol {
   }
   StatusOr<EvalOutcome> QuerierEvaluate(uint64_t, const Bytes&,
                                         const std::vector<NodeId>&) override {
-    return EvalOutcome{0.0, true, true};
+    return EvalOutcome{};  // value 0, verified, exact
   }
 
  private:

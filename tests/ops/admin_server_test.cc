@@ -147,12 +147,12 @@ TEST(AdminServerTest, EpochsEndpointServesTheTimelineWindow) {
   timeline.Enable();
   for (uint64_t epoch = 1; epoch <= 4; ++epoch) {
     timeline.BeginEpoch(epoch);
-    timeline.RecordPhase(telemetry::EpochPhase::kPsrCreate, 0.001);
+    timeline.Record(telemetry::Phase::kSourceInit, 0.001);
     telemetry::EpochVerdict verdict;
     verdict.answered = true;
     verdict.verified = true;
     verdict.coverage = 1.0;
-    timeline.EndEpoch(verdict);
+    timeline.EndEpoch(verdict, /*wall_seconds=*/0.002);
   }
   timeline.Disable();
 
@@ -166,7 +166,7 @@ TEST(AdminServerTest, EpochsEndpointServesTheTimelineWindow) {
   EXPECT_EQ(r.body.find("\"epoch\": 2"), std::string::npos) << "outside window";
   EXPECT_NE(r.body.find("\"epoch\": 3"), std::string::npos);
   EXPECT_NE(r.body.find("\"epoch\": 4"), std::string::npos);
-  EXPECT_NE(r.body.find("\"phase\": \"psr_create\""), std::string::npos);
+  EXPECT_NE(r.body.find("\"phase\": \"source_init\""), std::string::npos);
   timeline.Reset();
 }
 

@@ -205,6 +205,46 @@ class BenchCompareTest(unittest.TestCase):
 
     # -- classify() and CLI edge cases --------------------------------
 
+    def test_rows_sharing_a_kind_are_keyed_by_threads(self):
+        # batched_crypto's cold_start rows share `kind`; each baseline row
+        # must be judged against the fresh row with its own thread count.
+        def cold(threads, ms):
+            return {"kind": "cold_start", "threads": threads,
+                    "cold_evaluate_ms": ms}
+        write_report(self.base_dir, "BENCH_batched_crypto.json",
+                     "batched_crypto", [cold(1, 100.0), cold(4, 25.0)])
+        write_report(self.run_dir, "BENCH_batched_crypto.json",
+                     "batched_crypto", [cold(1, 1000.0), cold(4, 25.0)])
+        code, verdict = self.run_gate("--strict")
+        self.assertEqual(code, 1, verdict)
+        bench = verdict["benches"][0]
+        self.assertEqual(bench["matched_rows"], 2)
+        self.assertEqual([f["row"] for f in bench["failures"]],
+                         [["cold_start", 1]])
+
+    def test_duplicate_row_key_fails(self):
+        rows = [{"kind": "hmac_micro", "scalar_ms": 10.0}]
+        write_report(self.base_dir, "BENCH_batched_crypto.json",
+                     "batched_crypto", rows)
+        write_report(self.run_dir, "BENCH_batched_crypto.json",
+                     "batched_crypto", rows + rows)
+        code, verdict = self.run_gate()
+        self.assertEqual(code, 1, verdict)
+        kinds = {f["kind"] for b in verdict["benches"]
+                 for f in b["failures"]}
+        self.assertEqual(kinds, {"duplicate_key"})
+
+    def test_duplicate_row_key_in_baseline_fails(self):
+        rows = [{"op": "mod_add", "fp_ns": 3.0}]
+        write_report(self.base_dir, "BENCH_micro_crypto.json",
+                     "micro_crypto", rows + rows)
+        write_report(self.run_dir, "BENCH_micro_crypto.json",
+                     "micro_crypto", rows)
+        code, verdict = self.run_gate()
+        self.assertEqual(code, 1, verdict)
+        self.assertEqual(verdict["benches"][0]["failures"][0]["kind"],
+                         "duplicate_key")
+
     def test_classify_directions(self):
         self.assertEqual(bench_compare.classify("epoch_ms"), "lower")
         self.assertEqual(bench_compare.classify("rtt_us"), "lower")

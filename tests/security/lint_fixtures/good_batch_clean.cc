@@ -7,14 +7,15 @@
 #include "common/bytes.h"
 #include "common/secure.h"
 #include "crypto/sha256x8.h"
-#include "telemetry/trace.h"
+#include "telemetry/phase.h"
 
 namespace sies {
 
 uint64_t DeriveBatchClean(const crypto::ByteView* key_views, size_t n,
                           uint64_t epoch) {
-  // GOOD: span label is a phase name, never key bytes.
-  telemetry::ScopedSpan span("share-recompute", "fixture", epoch);
+  // GOOD: the span is named by its phase, never by key bytes.
+  telemetry::PhaseTimer timer(telemetry::PhaseHistogramsFor("fixture"),
+                              telemetry::Phase::kKeyDerive, epoch);
   uint8_t digests[32 * 64];
   crypto::EpochPrfSha256Batch(n, key_views, epoch, digests);
   uint64_t acc = 0;

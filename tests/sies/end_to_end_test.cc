@@ -235,7 +235,9 @@ TEST_F(SiesEndToEndTest, HardenedSha256ProfileEndToEnd) {
   Bytes tampered = sum;
   tampered[10] ^= 0x04;
   auto attacked = querier.Evaluate(tampered, 1);
-  if (attacked.ok()) EXPECT_FALSE(attacked.value().verified);
+  if (attacked.ok()) {
+    EXPECT_FALSE(attacked.value().verified);
+  }
 }
 
 // Property sweep: random values, random epoch, always exact + verified.

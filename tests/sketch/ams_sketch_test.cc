@@ -150,7 +150,9 @@ TEST_P(SketchAccuracySweep, MoreInstancesTightenTheEstimate) {
   }
   double mean_log_err = log_err_sum / kTrials;
   // J >= 100 should land within one octave on average.
-  if (j >= 100) EXPECT_LT(mean_log_err, 1.0) << "J=" << j;
+  if (j >= 100) {
+    EXPECT_LT(mean_log_err, 1.0) << "J=" << j;
+  }
   // Any J should land within three octaves.
   EXPECT_LT(mean_log_err, 3.0) << "J=" << j;
 }

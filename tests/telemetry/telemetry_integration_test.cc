@@ -1,8 +1,10 @@
 // End-to-end telemetry tests through the full simulator: the audit
 // trail must record EXACTLY the tampering the in-flight adversary
 // injected (count and attribution), the phase histograms must count
-// every phase the epoch ran, and the tracer must capture the phase
-// spans — all against the same global sinks sies_sim exports.
+// every phase the epoch ran, the tracer must capture the phase spans,
+// and the trace, the epoch timeline, the histograms and the per-party
+// costs must agree interval for interval — all against the same global
+// sinks sies_sim exports.
 //
 // These tests share the process-wide telemetry singletons, so each one
 // resets the relevant sink up front and disables it on the way out.
@@ -10,6 +12,9 @@
 
 #include <set>
 #include <string>
+#include <vector>
+
+#include "common/thread_pool.h"
 
 #include "net/adversary.h"
 #include "runner/runner.h"
@@ -176,6 +181,41 @@ TEST(TelemetryIntegrationTest, PhaseHistogramsCountEveryPhase) {
   EXPECT_EQ(eval_h->TotalCount() - eval0, 1u);
 }
 
+TEST(TelemetryIntegrationTest, PsrAndMergeCountersCountEveryChannel) {
+  SiesFixture fx;
+  // VARIANCE puts K = 3 channels (sum, sum of squares, count) on the
+  // wire: every live source creates K PSRs and every merge sums K.
+  core::Query variance;
+  variance.aggregate = core::Aggregate::kVariance;
+  auto scheduler =
+      MakeSingleQueryScheduler(
+          fx.params, fx.keys, fx.network.topology(),
+          [&fx](uint32_t index, uint64_t epoch) {
+            return fx.trace.ReadingAt(index, epoch);
+          },
+          variance)
+          .value();
+  const uint64_t k = scheduler->engine().registry().plan().Count();
+  ASSERT_EQ(k, 3u);
+  fx.network.FailSource(fx.network.topology().sources()[2]);
+
+  auto& registry = telemetry::MetricsRegistry::Global();
+  telemetry::Counter* psrs =
+      registry.GetCounter("sies_source_psr_total", {{"scheme", "SIES"}});
+  telemetry::Counter* merges = registry.GetCounter(
+      "sies_aggregator_merge_total", {{"scheme", "SIES"}});
+  const uint64_t psrs0 = psrs->Value();
+  const uint64_t merges0 = merges->Value();
+
+  auto report = fx.network.RunEpoch(*scheduler, 1).value();
+  EXPECT_TRUE(report.outcome.verified);
+
+  // 15 live sources; the 4-ary tree's 5 aggregators all still have a
+  // live child, so all 5 merge.
+  EXPECT_EQ(psrs->Value() - psrs0, 15u * k);
+  EXPECT_EQ(merges->Value() - merges0, 5u * k);
+}
+
 TEST(TelemetryIntegrationTest, TracerCapturesPhaseSpans) {
   SiesFixture fx;
   telemetry::Tracer& tracer = telemetry::Tracer::Global();
@@ -188,10 +228,115 @@ TEST(TelemetryIntegrationTest, TracerCapturesPhaseSpans) {
 
   std::set<std::string> names;
   for (const auto& e : tracer.Events()) names.insert(e.name);
-  EXPECT_TRUE(names.count("source-init"));
+  EXPECT_TRUE(names.count("source_init"));
   EXPECT_TRUE(names.count("merge"));
   EXPECT_TRUE(names.count("evaluate"));
   tracer.Reset();
+}
+
+TEST(TelemetryIntegrationTest, EverySinkSeesTheSameIntervals) {
+  SiesFixture fx;
+  // Two lanes: source_init and verify run on pool threads.
+  common::ThreadPool pool(2);
+  fx.network.SetThreadPool(&pool);
+  fx.protocol->SetThreadPool(&pool);
+  telemetry::Tracer& tracer = telemetry::Tracer::Global();
+  telemetry::EpochTimeline& timeline = telemetry::EpochTimeline::Global();
+  tracer.Reset();
+  timeline.Reset();
+  tracer.Enable();
+  timeline.Enable();
+
+  auto& registry = telemetry::MetricsRegistry::Global();
+  std::vector<telemetry::Histogram*> histograms;
+  std::vector<uint64_t> counts0;
+  std::vector<double> sums0;
+  for (size_t p = 0; p < telemetry::kPhaseCount; ++p) {
+    histograms.push_back(registry.GetHistogram(
+        "sies_phase_seconds",
+        {{"scheme", "SIES_ENGINE"},
+         {"phase", telemetry::PhaseName(static_cast<telemetry::Phase>(p))}}));
+    counts0.push_back(histograms.back()->TotalCount());
+    sums0.push_back(histograms.back()->Sum());
+  }
+
+  telemetry::EpochScope scope(1);
+  auto report = fx.network.RunEpoch(*fx.protocol, 1).value();
+  telemetry::EpochVerdict verdict;
+  verdict.answered = report.answered;
+  verdict.verified = report.outcome.verified;
+  scope.End(verdict);
+  tracer.Disable();
+  timeline.Disable();
+  fx.network.SetThreadPool(nullptr);
+  fx.protocol->SetThreadPool(nullptr);
+  ASSERT_TRUE(report.outcome.verified);
+
+  const std::vector<telemetry::SpanEvent> spans = tracer.Events();
+  const std::vector<telemetry::EpochRecord> records = timeline.Last(1);
+  ASSERT_EQ(records.size(), 1u);
+  const telemetry::EpochRecord& record = records[0];
+  for (size_t p = 0; p < telemetry::kPhaseCount; ++p) {
+    const std::string name =
+        telemetry::PhaseName(static_cast<telemetry::Phase>(p));
+    uint64_t span_count = 0;
+    double span_us = 0.0;
+    for (const telemetry::SpanEvent& e : spans) {
+      if (name == e.name) {
+        ++span_count;
+        span_us += static_cast<double>(e.dur_us);
+      }
+    }
+    const telemetry::PhaseStat& stat = record.phases[p];
+    EXPECT_EQ(span_count, histograms[p]->TotalCount() - counts0[p]) << name;
+    EXPECT_EQ(span_count, stat.calls) << name;
+    // The tracer keeps whole microseconds of each reading.
+    EXPECT_LE(stat.total_seconds * 1e6 - span_us,
+              static_cast<double>(stat.calls)) << name;
+    EXPECT_GE(stat.total_seconds * 1e6 - span_us, 0.0) << name;
+    EXPECT_NEAR(histograms[p]->Sum() - sums0[p], stat.total_seconds, 1e-9)
+        << name;
+  }
+  // 16 sources, 5 aggregators, 21 edges, one K = 1 evaluation.
+  auto calls = [&record](telemetry::Phase phase) {
+    return record.phases[static_cast<size_t>(phase)].calls;
+  };
+  EXPECT_EQ(calls(telemetry::Phase::kSourceInit), 16u);
+  EXPECT_EQ(calls(telemetry::Phase::kMerge), 5u);
+  EXPECT_EQ(calls(telemetry::Phase::kTransport), 21u);
+  EXPECT_EQ(calls(telemetry::Phase::kEvaluate), 1u);
+  EXPECT_EQ(calls(telemetry::Phase::kWireParse), 1u);
+  EXPECT_EQ(calls(telemetry::Phase::kKeyDerive), 1u);
+  EXPECT_EQ(calls(telemetry::Phase::kVerify), 1u);
+  EXPECT_EQ(calls(telemetry::Phase::kAssemble), 1u);
+  // The per-party costs are the same intervals.
+  EXPECT_EQ(report.source_cpu.samples(), calls(telemetry::Phase::kSourceInit));
+  EXPECT_EQ(report.aggregator_cpu.samples(), calls(telemetry::Phase::kMerge));
+  EXPECT_EQ(report.querier_cpu.samples(), calls(telemetry::Phase::kEvaluate));
+  auto total = [&record](telemetry::Phase phase) {
+    return record.phases[static_cast<size_t>(phase)].total_seconds;
+  };
+  EXPECT_NEAR(report.source_cpu.total_seconds(),
+              total(telemetry::Phase::kSourceInit), 1e-12);
+  EXPECT_DOUBLE_EQ(report.aggregator_cpu.total_seconds(),
+                   total(telemetry::Phase::kMerge));
+  EXPECT_DOUBLE_EQ(report.querier_cpu.total_seconds(),
+                   total(telemetry::Phase::kEvaluate));
+  // The evaluate breakdown lies inside evaluate and is not attributed
+  // again.
+  EXPECT_LE(total(telemetry::Phase::kWireParse) +
+                total(telemetry::Phase::kKeyDerive) +
+                total(telemetry::Phase::kVerify) +
+                total(telemetry::Phase::kAssemble),
+            total(telemetry::Phase::kEvaluate));
+  EXPECT_NEAR(record.attributed_seconds,
+              total(telemetry::Phase::kSourceInit) +
+                  total(telemetry::Phase::kMerge) +
+                  total(telemetry::Phase::kTransport) +
+                  total(telemetry::Phase::kEvaluate),
+              1e-12);
+  tracer.Reset();
+  timeline.Reset();
 }
 
 }  // namespace
